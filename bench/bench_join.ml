@@ -256,17 +256,16 @@ let precomputed cfg =
   Bench_util.note
     "expect: precomputed beats every computed method — 'the joining tuples have already been paired'"
 
-(* --- batched execution: ns/row, sort kernels, skew robustness ------------- *)
+(* --- batched execution: ns/row, skew robustness ---------------------------- *)
 
-(* The cache-conscious batched-execution study (DESIGN.md "Batched
-   execution"): per-operator ns/row with the vectorized kernels on vs the
-   tuple-at-a-time ablation, the two sort kernels head to head, and the
-   skew-robust partitioned join on a 50%-hot-key build side vs uniform
-   keys.  Counters are compiled out while timing (Bench_util.time), as in
-   §3.1, so the measured deltas are pure memory/dispatch behaviour. *)
+(* The batched-execution study (DESIGN.md "Batched execution"):
+   per-operator ns/row at batch size 256 vs batch size 1 (the
+   tuple-at-a-time ablation), and the partitioned join on a
+   50%-hot-key build side vs uniform keys.  Counters are compiled out
+   while timing (Bench_util.time), as in §3.1, so the measured deltas are
+   pure memory/dispatch behaviour. *)
 let batched cfg =
-  Bench_util.header
-    "JOIN — batched execution: ns/row, sort kernels, skew-robust partitioning";
+  Bench_util.header "JOIN — batched execution: ns/row, skew-robust partitioning";
   let n = Bench_util.scaled cfg 30_000 in
   let rng = Rng.create ~seed:(cfg.Bench_util.seed + 77) () in
   let r1, r2 =
@@ -281,17 +280,12 @@ let batched cfg =
      predicate evaluation; at high selectivity both modes drown in
      identical result-materialization allocations *)
   let scan_hi = Mmdb_storage.Value.Int 50_000_000 in
-  let with_batch ~enabled ~size f =
-    let st = Mmdb_storage.Batch.stats () in
-    Mmdb_storage.Batch.configure ~enabled ~size;
-    Fun.protect
-      ~finally:(fun () ->
-        Mmdb_storage.Batch.configure
-          ~enabled:st.Mmdb_storage.Batch.st_enabled
-          ~size:st.Mmdb_storage.Batch.st_size)
-      f
+  let with_batch size f =
+    let saved = Mmdb_storage.Batch.size () in
+    Mmdb_storage.Batch.set_size size;
+    Fun.protect ~finally:(fun () -> Mmdb_storage.Batch.set_size saved) f
   in
-  (* 1. batch on/off per operator, sequential *)
+  (* 1. batch size 256 vs 1 per operator, sequential *)
   let ops =
     [
       (* a single selective scan finishes in well under a millisecond —
@@ -316,26 +310,21 @@ let batched cfg =
   let op_rows =
     List.map
       (fun (op, rows, f) ->
-        let _, t_scalar =
-          with_batch ~enabled:false ~size:256 (fun () -> Bench_util.time cfg f)
-        in
-        let _, t_batched =
-          with_batch ~enabled:true ~size:256 (fun () -> Bench_util.time cfg f)
-        in
-        let speedup = if t_batched > 0.0 then t_scalar /. t_batched else 0.0 in
+        let _, t_one = with_batch 1 (fun () -> Bench_util.time cfg f) in
+        let _, t_batched = with_batch 256 (fun () -> Bench_util.time cfg f) in
+        let speedup = if t_batched > 0.0 then t_one /. t_batched else 0.0 in
         List.iter
-          (fun (mode, dt) ->
+          (fun (size, dt) ->
             Bench_util.emit cfg ~exp:"join"
               [
                 ("section", `Str "batch");
                 ("op", `Str op);
-                ("mode", `Str mode);
-                ("batch_size", `Int (if mode = "batched" then 256 else 0));
+                ("batch_size", `Int size);
                 ("cardinality", `Int n);
                 ("seconds", `Float dt);
                 ("ns_per_row", `Float (ns_per_row rows dt));
               ])
-          [ ("scalar", t_scalar); ("batched", t_batched) ];
+          [ (1, t_one); (256, t_batched) ];
         Bench_util.emit cfg ~exp:"join"
           [
             ("section", `Str "batch_speedup");
@@ -345,49 +334,18 @@ let batched cfg =
           ];
         [
           op;
-          Printf.sprintf "%.1f" (ns_per_row rows t_scalar);
+          Printf.sprintf "%.1f" (ns_per_row rows t_one);
           Printf.sprintf "%.1f" (ns_per_row rows t_batched);
           Printf.sprintf "%.2fx" speedup;
         ])
       ops
   in
   Bench_util.table
-    ~columns:[ "op"; "scalar ns/row"; "batched ns/row"; "speedup" ]
+    ~columns:[ "op"; "batch 1 ns/row"; "batch 256 ns/row"; "speedup" ]
     op_rows;
   Bench_util.note
-    "expect: batched kernels >= 1.3x rows/sec on scan_select and hash_join (enforced by scripts/bench_baseline.sh)";
-  (* 2. sort kernels head to head (batched paths, sort_merge driver) *)
-  let saved_mode = Qsort.mode () in
-  let kernel_rows =
-    List.map
-      (fun kern ->
-        Qsort.set_mode (Qsort.Force kern);
-        let _, dt =
-          with_batch ~enabled:true ~size:256 (fun () ->
-              Bench_util.time cfg (fun () ->
-                  ignore (Join.sort_merge ~outer ~inner ())))
-        in
-        Bench_util.emit cfg ~exp:"join"
-          [
-            ("section", `Str "sort_kernel");
-            ("op", `Str "sort_merge");
-            ("sort_kernel", `Str (Qsort.kernel_name kern));
-            ("cardinality", `Int n);
-            ("seconds", `Float dt);
-            ("ns_per_row", `Float (ns_per_row (2 * n) dt));
-          ];
-        [
-          Qsort.kernel_name kern;
-          Printf.sprintf "%.4f" dt;
-          Printf.sprintf "%.1f" (ns_per_row (2 * n) dt);
-        ])
-      [ Qsort.Quicksort; Qsort.Dpg ]
-  in
-  Qsort.set_mode saved_mode;
-  Bench_util.table ~columns:[ "sort kernel"; "seconds"; "ns/row" ] kernel_rows;
-  Bench_util.note
-    "expect: dpg within a small factor of qsort here, winning as cardinality grows past cache";
-  (* 3. skew robustness: partitioned join, hot key = 50% of the build side *)
+    "expect: batch 256 >= 1.3x rows/sec over batch 1 on scan_select (enforced by scripts/bench_baseline.sh)";
+  (* 2. skew robustness: partitioned join, hot key = 50% of the build side *)
   let hot = 424_242 in
   let skew_inner_col =
     Array.init n (fun i -> if i land 1 = 0 then hot else 1_000_000_000 + i)
@@ -414,11 +372,10 @@ let batched cfg =
              ~inner:{ Join.rel = i; col = Workload.jcol }
              ()))
   in
-  let with_batch_on f = with_batch ~enabled:true ~size:256 f in
-  let rp0, rv0 = Join.skew_stats () in
-  let _, t_uniform = with_batch_on (fun () -> time_pair ~o:ru_outer ~i:ru_inner) in
-  let _, t_skew = with_batch_on (fun () -> time_pair ~o:rs_outer ~i:rs_inner) in
-  let rp1, rv1 = Join.skew_stats () in
+  let _, rv0 = Join.skew_stats () in
+  let _, t_uniform = with_batch 256 (fun () -> time_pair ~o:ru_outer ~i:ru_inner) in
+  let _, t_skew = with_batch 256 (fun () -> time_pair ~o:rs_outer ~i:rs_inner) in
+  let _, rv1 = Join.skew_stats () in
   Domain_pool.stop pool;
   let ratio = if t_uniform > 0.0 then t_skew /. t_uniform else 0.0 in
   Bench_util.emit cfg ~exp:"join"
@@ -429,7 +386,6 @@ let batched cfg =
       ("uniform_seconds", `Float t_uniform);
       ("skew_seconds", `Float t_skew);
       ("skew_ratio", `Float ratio);
-      ("repartitions", `Int (rp1 - rp0));
       ("role_reversals", `Int (rv1 - rv0));
     ];
   Bench_util.table
@@ -440,5 +396,5 @@ let batched cfg =
       [ "ratio"; Printf.sprintf "%.2fx" ratio ];
     ];
   Bench_util.note
-    "expect: skewed within 2x of uniform (role reversal builds on the probe side); events=%d/%d"
-    (rp1 - rp0) (rv1 - rv0)
+    "expect: skewed within 2x of uniform (role reversal builds on the probe side); role reversals=%d"
+    (rv1 - rv0)

@@ -39,7 +39,7 @@ let make_mlh keys =
   t
 
 (* Whole-operator probes for the batch ablation: one staged run = one
-   full scan/join at a reduced cardinality, with the batch knob set
+   full scan/join at a reduced cardinality, with the batch size set
    inside the staged closure (a ref write, noise-level next to the µs
    operator body). *)
 let scan_n = 6_000
@@ -51,8 +51,8 @@ let batch_ops () =
   let rel_scan = Mmdb_core.Workload.load ~name:"MicroScan" (col scan_n) in
   let rel_o = Mmdb_core.Workload.load ~name:"MicroJoinO" (col join_n) in
   let rel_i = Mmdb_core.Workload.load ~name:"MicroJoinI" (col join_n) in
-  let scan ~batched () =
-    Mmdb_storage.Batch.configure ~enabled:batched ~size:256;
+  let scan ~size () =
+    Mmdb_storage.Batch.set_size size;
     ignore
       (Mmdb_core.Select.run rel_scan ~path:Mmdb_core.Select.Sequential_scan
          ~predicates:
@@ -63,8 +63,8 @@ let batch_ops () =
                  Mmdb_storage.Value.Int 100_000_000 );
            ])
   in
-  let join ~batched () =
-    Mmdb_storage.Batch.configure ~enabled:batched ~size:256;
+  let join ~size () =
+    Mmdb_storage.Batch.set_size size;
     ignore
       (Mmdb_core.Join.hash_join
          ~outer:{ Mmdb_core.Join.rel = rel_o; col = Mmdb_core.Workload.jcol }
@@ -72,10 +72,10 @@ let batch_ops () =
          ())
   in
   [
-    Test.make ~name:"scan-select scalar (6k)" (Staged.stage (scan ~batched:false));
-    Test.make ~name:"scan-select batched (6k)" (Staged.stage (scan ~batched:true));
-    Test.make ~name:"hash join scalar (2k)" (Staged.stage (join ~batched:false));
-    Test.make ~name:"hash join batched (2k)" (Staged.stage (join ~batched:true));
+    Test.make ~name:"scan-select batch 1 (6k)" (Staged.stage (scan ~size:1));
+    Test.make ~name:"scan-select batch 256 (6k)" (Staged.stage (scan ~size:256));
+    Test.make ~name:"hash join batch 1 (2k)" (Staged.stage (join ~size:1));
+    Test.make ~name:"hash join batch 256 (2k)" (Staged.stage (join ~size:256));
   ]
 
 let tests () =
@@ -114,7 +114,7 @@ let run bcfg =
   let was = !Mmdb_util.Counters.enabled in
   Mmdb_util.Counters.enabled := false;
   (* the batch-ablation probes flip the global knob per staged run *)
-  let batch0 = Mmdb_storage.Batch.stats () in
+  let batch0 = Mmdb_storage.Batch.size () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
@@ -161,7 +161,5 @@ let run bcfg =
              ])
            rows))
     merged;
-  Mmdb_storage.Batch.configure
-    ~enabled:batch0.Mmdb_storage.Batch.st_enabled
-    ~size:batch0.Mmdb_storage.Batch.st_size;
+  Mmdb_storage.Batch.set_size batch0;
   Mmdb_util.Counters.enabled := was

@@ -58,7 +58,7 @@ let experiments : (string * string * (Bench_util.config -> unit)) list =
     ("trace", "Tracing overhead: with_span disabled vs enabled",
      Bench_trace.run);
     ("f1", "Fault injection: crash-consistency torture", Bench_faults.f1);
-    ("join", "Batched execution: ns/row, sort kernels, skew robustness",
+    ("join", "Batched execution: ns/row, skew robustness",
      Bench_join.batched);
     ("replay", "Capture/replay: record, re-execute, compare",
      Bench_replay.run);

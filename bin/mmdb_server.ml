@@ -29,10 +29,9 @@ let usage () =
   --mvcc / --no-mvcc     snapshot-isolation reads: read-only statements
                          run under an MVCC snapshot concurrently with the
                          writer (default on, MMDB_MVCC=0 flips the default)
-  --batch-size N         batched-execution vector size; 0 disables
-                         batching (default 256, MMDB_BATCH overrides the
-                         default)
-  --no-batch             tuple-at-a-time ablation (same as --batch-size 0)
+  --batch-size N         tuples per execution batch; 0 or 1 is the
+                         tuple-at-a-time ablation (default 256,
+                         MMDB_BATCH overrides the default)
   --trace                trace every statement into the operator table
   --slow-log FILE        append a JSONL line per slow query (implies tracing)
   --slow-ms N            slow-query threshold in ms  (default 100,
@@ -110,11 +109,7 @@ let () =
         parse_args rest
     | "--batch-size" :: v :: rest ->
         (* the flag wins over the MMDB_BATCH default, both ways *)
-        let n = int_of_string v in
-        Mmdb_storage.Batch.configure ~enabled:(n > 0) ~size:n;
-        parse_args rest
-    | "--no-batch" :: rest ->
-        Mmdb_storage.Batch.set_enabled false;
+        Mmdb_storage.Batch.set_size (int_of_string v);
         parse_args rest
     | "--mvcc" :: rest ->
         cfg := { !cfg with Server.mvcc = true };

@@ -106,8 +106,6 @@ let group tl ~by ~aggs =
   Mmdb_util.Trace.with_span "aggregate" @@ fun () ->
   if Mmdb_util.Trace.active () then begin
     Mmdb_util.Trace.add_attr "rows_in" (string_of_int (Temp_list.length tl));
-    if Batch.enabled () then
-      Mmdb_util.Trace.add_attr "batch" (string_of_int (Batch.size ()));
     if by <> [] then
       Mmdb_util.Trace.add_attr "by" (String.concat "," by)
   end;
@@ -129,26 +127,7 @@ let group tl ~by ~aggs =
   (* group key -> (key values, one state per aggregate), insertion-ordered *)
   let table : (Value.t array * state list) Key_table.t = Key_table.create 64 in
   let order = ref [] in
-  (* Batch-sized chunked drive: same entries in the same order (and the
-     same counter totals — [Temp_list.get]/[iter] are bookkeeping-free),
-     but the accumulation loop works a cache-resident window of the
-     entry array at a time. *)
-  let drive f =
-    if Batch.enabled () then begin
-      let n = Temp_list.length tl in
-      let bs = Batch.size () in
-      let lo = ref 0 in
-      while !lo < n do
-        let hi = min n (!lo + bs) in
-        for i = !lo to hi - 1 do
-          f (Temp_list.get tl i)
-        done;
-        lo := hi
-      done
-    end
-    else Temp_list.iter tl f
-  in
-  drive (fun entry ->
+  Temp_list.iter tl (fun entry ->
       let key_values =
         List.map (fun i -> Temp_list.field_value tl entry i) key_fields
       in

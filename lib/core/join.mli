@@ -36,19 +36,20 @@ val hash_join :
     column.  The build cost is always included: "a hash table index is
     less likely to exist than a T Tree index" (§3.3.2).
 
+    One kernel over {!Relation.iter_batches}, at any batch size.  Both
+    sides are routed by hash of the join key into partitions, each an
+    independent build+probe: one partition, or — with a parallel [pool]
+    and a large enough input (combined cardinality >= 2048) — one per
+    worker, run on the pool and concatenated.  The result multiset is
+    the same either way; the counters differ only by the routing
+    dereferences and the smaller per-partition tables.
+
     [build_outer] (default false) builds the table on the outer side
     instead and probes with the inner — chosen by the cost-based planner
     when the selection leaves the outer smaller than the inner; the
     [outer_filter] then applies at build time, so the table holds only
-    qualifying tuples.  The partitioned parallel paths ignore the hint:
-    they already pick a build side per partition (role reversal).
-
-    With a parallel [pool] and a large enough input (combined cardinality
-    >= 2048), the join runs partitioned: both sides are routed by hash of
-    the join key into per-worker buckets, and each bucket is an
-    independent build+probe producing a local list, concatenated at the
-    end — the same result multiset as the sequential join, with counters
-    within chain-length bookkeeping tolerance of it. *)
+    qualifying tuples.  With several partitions the hint is ignored: each
+    partition picks its build side (role reversal on skew). *)
 
 val find_tree_index : side -> Relation.index_instance option
 (** The pre-existing ordered index on a side's join column, if any. *)
@@ -72,8 +73,8 @@ val sort_merge :
     Build and sort costs are always charged; duplicate runs rescan the
     contiguous array with integer cursors, the efficiency behind its
     high-output wins (Graphs 7/8).  With a parallel [pool], each side's
-    sort runs via {!Mmdb_util.Qsort.sort_parallel}; the merge join itself
-    stays sequential. *)
+    quicksort runs via {!Mmdb_util.Qsort.sort_parallel}; the merge join
+    itself stays sequential. *)
 
 val tree_merge :
   ?outer_filter:(Tuple.t -> bool) -> outer:side -> inner:side -> unit -> Temp_list.t
@@ -90,8 +91,8 @@ val run :
   inner:side ->
   Temp_list.t
 (** Uniform driver over the five algorithms.  [pool] enables the parallel
-    variants of {!hash_join} and {!sort_merge}; the other methods ignore
-    it.  [build_outer] applies to {!hash_join} only.  [est_rows] is the optimizer's output-cardinality estimate,
+    forms of {!hash_join} and {!sort_merge}, also under an MVCC snapshot;
+    the other methods ignore it.  [build_outer] applies to {!hash_join} only.  [est_rows] is the optimizer's output-cardinality estimate,
     recorded as the [est_rows] trace attribute and fed with the actual
     row count to {!Feedback.observe} under {!feedback_key} (keyed on the
     method that actually ran, after any MVCC-snapshot remap). *)
@@ -106,11 +107,11 @@ val feedback_key_of :
     uses [~method_name:"Precomputed" ~inner_name:"*"]. *)
 
 val skew_stats : unit -> int * int
-(** [(repartitions, role_reversals)]: cumulative counts of the
-    skew-handling events the batched partitioned join has taken
-    (recursive repartitioning of an oversized bucket; building on the
-    probe side when a hot key makes the inner bucket unsplittable).
-    Surfaced in STATS and in the join trace span. *)
+(** [(repartitions, role_reversals)]: the repartition count is always 0
+    (role reversal alone handles skew); the second is the cumulative
+    number of partitions the partitioned join built on the probe side
+    because a hot key made the inner side exceed its bound.  Surfaced in
+    STATS and in the join trace span. *)
 
 (** {1 Non-equijoins (§3.3.5)} *)
 

@@ -461,8 +461,7 @@ let plan ?stats db (q : Query.t) =
   if Mmdb_util.Trace.active () then begin
     Mmdb_util.Trace.add_attr "outer" (Relation.name outer);
     Mmdb_util.Trace.add_attr "planner" (planner_name ());
-    if Batch.enabled () then
-      Mmdb_util.Trace.add_attr "batch" (string_of_int (Batch.size ()));
+    Mmdb_util.Trace.add_attr "batch" (string_of_int (Batch.size ()));
     Mmdb_util.Trace.add_attr "est_rows" (string_of_int sel_estimate);
     Option.iter
       (fun e -> Mmdb_util.Trace.add_attr "est_join_rows" (string_of_int e))
@@ -513,17 +512,10 @@ let pp_cands ppf cands =
 let pp_plan ppf p =
   Fmt.pf ppf "@[<v>planner: %s@," p.p_planner;
   Fmt.pf ppf "outer: %s@," (Relation.name p.p_outer);
-  (* Execution-mode line: batched vs tuple-at-a-time, and which sort
-     kernel mode large sorts would pick (see Qsort.choose). *)
-  (if Batch.enabled () then
-     Fmt.pf ppf "execution: batched (batch size %d, sort kernel %s)@,"
-       (Batch.size ())
-       (Mmdb_util.Qsort.kernel_name
-          (Mmdb_util.Qsort.choose ~n:max_int ~batched:true))
-   else
-     Fmt.pf ppf "execution: tuple-at-a-time (sort kernel %s)@,"
-       (Mmdb_util.Qsort.kernel_name
-          (Mmdb_util.Qsort.choose ~n:max_int ~batched:false)));
+  (* Execution-mode line: batch size is the only execution-mode
+     parameter; size 1 is the paper's tuple-at-a-time ablation. *)
+  Fmt.pf ppf "execution: batch size %d%s@," (Batch.size ())
+    (if Batch.size () = 1 then " (tuple-at-a-time)" else "");
   List.iter
     (fun (path, _) -> Fmt.pf ppf "access: %a@," Select.pp_path path)
     p.p_paths;

@@ -77,14 +77,7 @@ let sort_scan ?pool ?(cutoff = 10) tl labels =
               (entry_key narrowed e, e))
     in
     let cmp (a, _) (b, _) = key_cmp a b in
-    (* Kernel choice (DESIGN.md "Batched execution"): the DPG
-       cache-efficient sort when batched execution is on and the list
-       spans more than one cache-sized run, else the paper's
-       quicksort. *)
-    let kern = Qsort.choose ~n ~batched:(Batch.enabled ()) in
-    if Trace.active () then
-      Trace.add_attr "sort_kernel" (Qsort.kernel_name kern);
-    Qsort.sort_with ~cutoff ?pool kern ~cmp keyed;
+    Qsort.sort_with ~cutoff ?pool Qsort.Quicksort ~cmp keyed;
     let last = ref None in
     Array.iter
       (fun (k, e) ->

@@ -139,25 +139,21 @@ let use_parallel_scan pool rel =
       if
         Domain_pool.size pool > 1
         && (not (Domain_pool.in_worker ()))
-        (* a snapshot read must not walk raw partitions; with batching
-           it takes [scan_parallel_snapshot] over the membership view
-           instead, without batching it stays sequential *)
-        && (Version_store.current_snapshot () = None || Batch.enabled ())
         && Relation.count rel >= parallel_scan_threshold
         && (Version_store.current_snapshot () <> None
            || List.length (Relation.partitions rel) > 1)
       then Some pool
       else None
 
-(* The vectorized sequential scan: batches come off the relation with
-   the first indexable predicate's column pre-extracted into the key
-   slice, the first predicate is evaluated in a monomorphic loop over
-   that contiguous slice, and survivors flush with one bulk append per
-   batch.  Counter bumps mirror the tuple-at-a-time path operation for
-   operation — one logical dereference per first-predicate evaluation
-   (amortized into a single [~n] bump per batch), residuals through the
-   same counted [matches] — so §3.1 totals are identical. *)
-let scan_batched rel ~predicates out =
+(* The sequential scan: batches come off the relation with the first
+   indexable predicate's column pre-extracted into the key slice, the
+   first predicate is evaluated in a monomorphic loop over that
+   contiguous slice, and survivors flush with one bulk append per batch.
+   Counter bumps follow the paper's scan operation for operation — one
+   logical dereference per first-predicate evaluation (amortized into a
+   single [~n] bump per batch), residuals through the same counted
+   [matches] — so §3.1 totals are identical at every batch size. *)
+let scan_seq rel ~predicates out =
   let key_col, check_first, rest =
     match predicates with
     | Eq (c, v) :: rest -> (Some c, (fun k -> Value.equal k v), rest)
@@ -207,7 +203,7 @@ let scan_batched rel ~predicates out =
       let m = ref 0 in
       (match key_col with
       | Some _ ->
-          (* the scalar path pays one [Tuple.get] per tuple for the
+          (* the paper's scan pays one [Tuple.get] per tuple for the
              first predicate; same total, bumped once per batch *)
           Counters.bump_ptr_derefs ~n ();
           filter_keys b.Batch.keys b.Batch.tuples n m
@@ -271,7 +267,7 @@ let run ?pool ?est_rows rel ~path ~predicates =
     (match est_rows with
     | Some e -> Trace.add_attr "est_rows" (string_of_int e)
     | None -> ());
-    if path = Sequential_scan && Batch.enabled () then
+    if path = Sequential_scan then
       Trace.add_attr "batch" (string_of_int (Batch.size ()))
   end;
   let out = Temp_list.create (Descriptor.of_schema (Relation.schema rel)) in
@@ -292,17 +288,13 @@ let run ?pool ?est_rows rel ~path ~predicates =
       match use_parallel_scan pool rel with
       | Some pool -> (
           match Version_store.current_snapshot () with
-          | Some s when Batch.enabled () ->
+          | Some s ->
               scan_parallel_snapshot pool rel ~snapshot:s
                 ~keep:(fun t -> residual_ok t preds)
                 out
-          | _ ->
+          | None ->
               scan_parallel pool rel ~keep:(fun t -> residual_ok t preds) out)
-      | None ->
-          if Batch.enabled () then scan_batched rel ~predicates:preds out
-          else
-            Relation.iter rel (fun tuple ->
-                if residual_ok tuple preds then Temp_list.append out [| tuple |]))
+      | None -> scan_seq rel ~predicates:preds out)
   | (Hash_lookup _ | Tree_lookup _), _ ->
       invalid_arg "Select.run: access path incompatible with predicate");
   let actual = Temp_list.length out in

@@ -341,11 +341,11 @@ let render t ~active ~readers ~domains =
          v.st_oldest_snapshot_age v.st_gc_runs v.st_versions_created
          v.st_versions_reclaimed v.st_tuples_swept v.st_max_chain);
       (let b = Mmdb_storage.Batch.stats () in
-       let reparts, reversals = Mmdb_core.Join.skew_stats () in
+       let _, reversals = Mmdb_core.Join.skew_stats () in
        Printf.sprintf
          "batch:       enabled=%b size=%d batches=%d rows=%d \
-          join_repartitions=%d join_role_reversals=%d"
-         b.st_enabled b.st_size b.st_batches b.st_rows reparts reversals);
+          join_role_reversals=%d"
+         b.st_enabled b.st_size b.st_batches b.st_rows reversals);
     ]
   in
   let kinds =
@@ -488,14 +488,13 @@ let stats_json t ~active ~readers ~domains =
              ] );
          ( "batch",
            let b = Mmdb_storage.Batch.stats () in
-           let reparts, reversals = Mmdb_core.Join.skew_stats () in
+           let _, reversals = Mmdb_core.Join.skew_stats () in
            Json.Obj
              [
                ("enabled", Json.Bool b.st_enabled);
                ("size", Json.Int b.st_size);
                ("batches", Json.Int b.st_batches);
                ("rows", Json.Int b.st_rows);
-               ("join_repartitions", Json.Int reparts);
                ("join_role_reversals", Json.Int reversals);
              ] );
          ( "by_kind",
@@ -706,13 +705,11 @@ let prometheus t ~active ~readers ~domains =
    counter "mmdb_mvcc_versions_reclaimed_total" "Tuple versions reclaimed"
      v.st_versions_reclaimed);
   (let bt = Mmdb_storage.Batch.stats () in
-   let reparts, reversals = Mmdb_core.Join.skew_stats () in
-   gauge "mmdb_batch_enabled" "1 when batched execution is on"
+   let _, reversals = Mmdb_core.Join.skew_stats () in
+   gauge "mmdb_batch_enabled" "1 when batches carry more than one tuple"
      (if bt.st_enabled then 1.0 else 0.0);
    counter "mmdb_batches_total" "Batches formed" bt.st_batches;
    counter "mmdb_batch_rows_total" "Rows carried in batches" bt.st_rows;
-   counter "mmdb_join_repartitions_total"
-     "Skew-triggered recursive repartitions in the partitioned join" reparts;
    counter "mmdb_join_role_reversals_total"
      "Skew-triggered build/probe role reversals in the partitioned join"
      reversals);

@@ -11,36 +11,28 @@
     access.
 
     Key extraction is {e uncounted}: the consuming kernel accounts the
-    paper's §3.1 logical operations itself, bump-for-bump against the
-    tuple-at-a-time path, so operation-count equivalence holds exactly.
+    paper's §3.1 logical operations itself, per logical operation, so
+    every batch size counts exactly the same totals.
     See DESIGN.md "Batched execution".
 
-    The [MMDB_BATCH] knob: [0] disables batching (the paper-faithful
-    tuple-at-a-time ablation), [1] or unset enables it at the default
-    size, any larger integer enables it at that batch size. *)
+    Batch size is the only execution-mode parameter.  [MMDB_BATCH]:
+    [0] means batch size 1, the paper's tuple-at-a-time ablation (the
+    kernels then count exactly what the batched runs count); [1] or
+    unset means the default size; any larger integer is the size. *)
 
 let default_size = 256
 
 let parse_env = function
-  | Some ("0" | "false" | "off" | "no") -> (false, default_size)
+  | Some ("0" | "false" | "off" | "no") -> 1
   | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 1 -> (true, n)
-      | _ -> (true, default_size))
-  | None -> (true, default_size)
+      match int_of_string_opt s with Some n when n > 1 -> n | _ -> default_size)
+  | None -> default_size
 
 let state = ref (parse_env (Sys.getenv_opt "MMDB_BATCH"))
 
-let enabled () = fst !state
-let size () = snd !state
-let set_enabled b = state := (b, snd !state)
-
-let set_size n =
-  if n <= 0 then state := (false, default_size)
-  else state := (fst !state, max 1 n)
-
-let configure ~enabled ~size =
-  state := (enabled, if size > 0 then size else default_size)
+let size () = !state
+let enabled () = !state > 1
+let set_size n = state := max 1 n
 
 (* --- observability ------------------------------------------------------ *)
 

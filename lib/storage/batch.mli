@@ -4,28 +4,25 @@
     in [Select] / [Join].  See DESIGN.md "Batched execution".
 
     Key extraction into a batch is uncounted — the consuming kernel
-    accounts the paper's §3.1 operations itself so that batched and
-    tuple-at-a-time paths report identical counter totals. *)
+    accounts the paper's §3.1 operations itself, so every batch size
+    reports identical counter totals. *)
 
 val default_size : int
 (** 256: large enough to amortize per-batch bookkeeping, small enough
     that a batch's key slice stays cache-resident. *)
 
-val enabled : unit -> bool
-(** Whether the vectorized paths are active ([MMDB_BATCH]; default on). *)
-
 val size : unit -> int
-(** The configured batch size. *)
+(** The configured batch size ([MMDB_BATCH]; [0] there means 1). *)
 
-val set_enabled : bool -> unit
+val enabled : unit -> bool
+(** Whether batches carry more than one tuple: [false] only at batch
+    size 1, the tuple-at-a-time ablation. *)
+
 val set_size : int -> unit
-(** [set_size n] with [n <= 0] disables batching (the [MMDB_BATCH=0]
-    ablation); otherwise sets the batch size. *)
-
-val configure : enabled:bool -> size:int -> unit
+(** [set_size n] sets the batch size; [n <= 1] means 1. *)
 
 type stats = {
-  st_enabled : bool;
+  st_enabled : bool;  (** {!enabled} *)
   st_size : int;
   st_batches : int;  (** batches produced by scan entry points *)
   st_rows : int;  (** rows carried in those batches *)

@@ -398,7 +398,7 @@ let iter_via ?index t f =
    [Tuple.get] — this is what makes the vectorized kernels snapshot-safe
    on cached keys.  Extraction is uncounted ({!Tuple.peek}): the
    consuming kernel accounts the §3.1 logical dereferences itself, so
-   batched and tuple-at-a-time counter totals match exactly.  The
+   counter totals are the same at every batch size.  The
    emission order is the same as {!iter}'s (primary-index order, or the
    sorted visible set under a snapshot). *)
 let iter_batches ?key_col ?size t f =
@@ -471,8 +471,8 @@ let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
     let inst = make_instance ~expected:(max 16 t.count) def in
     let ok = ref true in
     (* Sort-based bulk build: collect the live tuples once off the
-       primary index, sort them by the new index's key with a
-       cache-conscious kernel, and insert in ascending key order —
+       primary index, sort them by the new index's key with the
+       paper's quicksort, and insert in ascending key order —
        ordered structures then fill by appending at the tail instead of
        rebalancing against random arrivals, the "fast index
        reconstruction via sorted load" idea.  Hash structures skip the
@@ -486,9 +486,7 @@ let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
     let arr = Array.make !n (Tuple.probe [||]) in
     List.iteri (fun i tuple -> arr.(!n - 1 - i) <- tuple) !tuples;
     if structure_is_ordered structure && !n > 1 then
-      Mmdb_util.Qsort.sort_with
-        (Mmdb_util.Qsort.choose ~n:!n ~batched:false)
-        ~cmp:(Tuple.compare_keyed ~columns) arr;
+      Mmdb_util.Qsort.sort ~cmp:(Tuple.compare_keyed ~columns) arr;
     Array.iter (fun tuple -> if !ok && not (idx_insert inst tuple) then ok := false) arr;
     if !ok then begin
       t.indices <- t.indices @ [ inst ];

@@ -58,5 +58,6 @@ val stop : t -> unit
 (** Drain queued tasks, then stop and join the workers. *)
 
 val global : unit -> t
-(** The process-wide shared pool (lazily created at [default_size]).
-    Used by the query operators unless an explicit pool is passed. *)
+(** The process-wide shared pool, created at [default_size] on first use
+    — once, even when several domains ask at the same time.  Used by the
+    query operators unless an explicit pool is passed. *)

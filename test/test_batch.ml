@@ -1,20 +1,19 @@
-(* Batched-execution equivalence suite (DESIGN.md "Batched execution").
+(* Batched-execution suite (DESIGN.md "Batched execution").
 
-   The vectorized operator kernels must be observationally equivalent to
-   the paper-faithful tuple-at-a-time paths: the same multiset of result
-   tuples AND the same §3.1 operation-count totals — the batched kernels
-   bump the counters as-if per logical operation, so equality is exact,
-   not approximate — across batch sizes {1, 16, 256} and pool sizes
-   {1, 4} on randomized workloads.  The sort kernel is pinned to the
-   paper's quicksort wherever strict counter equality is asserted (the
-   DPG kernel is a deliberate counter divergence, tested separately for
-   correctness).  MVCC paths (where the batched scan re-enables
-   parallelism that tuple-at-a-time execution cannot have) are checked
-   by multiset against the sequential snapshot reference, plus a
-   visibility check with a concurrent writer.  The skew-robust
-   partitioned join is driven over a 50%%-hot-key build side and must
-   produce the sequential answer while taking at least one
-   role-reversal. *)
+   Batch size is the only execution-mode parameter of the operator
+   kernels, and batch size 1 is the paper's tuple-at-a-time ablation.
+   Every kernel bumps the §3.1 counters per logical operation, so the
+   totals cannot depend on the batch size: each equivalence case runs at
+   batch sizes {1, 16, 256} and pool sizes {1, 4} on randomized
+   workloads and must hit literal counter totals exactly.  The literals
+   were recorded from the separate tuple-at-a-time kernels this suite
+   once compared against, with the paper's quicksort.  Result multisets
+   are checked against independent references: [Join.nested_loops] for
+   joins, a [Relation.iter] filter for scans.  MVCC paths are checked by
+   multiset against the sequential snapshot answer, plus a visibility
+   check with a concurrent writer.  The partitioned join is driven over
+   a 50%%-hot-key build side and must produce the sequential answer
+   while taking at least one role reversal. *)
 
 open Mmdb_util
 open Mmdb_storage
@@ -30,35 +29,26 @@ let with_pool size f =
   let pool = Domain_pool.create ~size () in
   Fun.protect ~finally:(fun () -> Domain_pool.stop pool) (fun () -> f pool)
 
-let with_batch ~enabled ~size f =
-  let st = Batch.stats () in
-  Batch.configure ~enabled ~size;
-  Fun.protect
-    ~finally:(fun () ->
-      Batch.configure ~enabled:st.Batch.st_enabled ~size:st.Batch.st_size)
-    f
-
-(* Strict counter-equality tests must not see the DPG kernel: force the
-   paper's quicksort for the duration. *)
-let with_qsort f =
-  let saved = Qsort.mode () in
-  Qsort.set_mode (Qsort.Force Qsort.Quicksort);
-  Fun.protect ~finally:(fun () -> Qsort.set_mode saved) f
+let with_batch ~size f =
+  let saved = Batch.size () in
+  Batch.set_size size;
+  Fun.protect ~finally:(fun () -> Batch.set_size saved) f
 
 let counted f =
   Counters.reset ();
   Counters.with_counters f
 
-let check_counters name (a : Counters.snapshot) (b : Counters.snapshot) =
-  if a <> b then
-    Alcotest.failf
-      "%s: counters diverge\n\
-      \  scalar:  cmp=%d moves=%d hash=%d derefs=%d allocs=%d\n\
-      \  batched: cmp=%d moves=%d hash=%d derefs=%d allocs=%d"
-      name a.Counters.comparisons a.Counters.data_moves a.Counters.hash_calls
-      a.Counters.ptr_derefs a.Counters.node_allocs b.Counters.comparisons
-      b.Counters.data_moves b.Counters.hash_calls b.Counters.ptr_derefs
-      b.Counters.node_allocs
+(* (comparisons, data moves, hash calls, pointer dereferences, node
+   allocations) *)
+let tally (c : Counters.snapshot) =
+  ( c.Counters.comparisons,
+    c.Counters.data_moves,
+    c.Counters.hash_calls,
+    c.Counters.ptr_derefs,
+    c.Counters.node_allocs )
+
+let tally_t = Alcotest.(pair (triple int int int) (pair int int))
+let split (a, b, c, d, e) = ((a, b, c), (d, e))
 
 let spec n dup = { Workload.cardinality = n; dup_pct = dup; dup_stddev = 0.8 }
 
@@ -142,79 +132,61 @@ let test_bulk_appends () =
   in
   Alcotest.(check bool) "bulk append trips the quota" true tripped
 
-(* --- DPG sort kernel ----------------------------------------------------- *)
+(* --- one kernel at every batch size --------------------------------------- *)
 
-let test_sort_dpg () =
-  let rng = Rng.create ~seed:9 () in
+(* Expected totals per (case, pool size), as [tally] orders them. *)
+let expected =
+  [
+    (("scan", 1), (0, 0, 0, 9064, 0));
+    (("scan", 4), (0, 0, 0, 9064, 0));
+    (("scan-eq", 1), (0, 0, 0, 6000, 0));
+    (("scan-eq", 4), (0, 0, 0, 6000, 0));
+    (("hash join", 1), (20459, 6000, 12000, 58918, 6000));
+    (("hash join", 4), (44689, 6000, 12000, 113378, 6000));
+    (("hash join build outer", 1), (20459, 6000, 12000, 58918, 6000));
+    (("hash join build outer", 4), (44689, 6000, 12000, 113378, 6000));
+    (("filtered hash join", 1), (5218, 3000, 4500, 19436, 3000));
+    (("filtered hash join", 4), (10736, 3000, 4500, 33472, 3000));
+    (("filtered hash join build outer", 1), (5218, 1500, 4500, 20936, 1500));
+    (("filtered hash join build outer", 4), (10736, 3000, 4500, 33472, 3000));
+    (("sort merge", 1), (193343, 80777, 0, 373722, 0));
+    (("sort merge", 4), (187905, 95039, 0, 362846, 0));
+    (("project Sort Scan", 1), (179101, 38870, 0, 6000, 0));
+    (("project Sort Scan", 4), (173705, 47205, 0, 6000, 0));
+    (("project Hash", 1), (4200, 0, 6000, 6000, 0));
+    (("project Hash", 4), (4200, 0, 6000, 6000, 0));
+    (("aggregate", 1), (0, 0, 1800, 12000, 0));
+    (("aggregate", 4), (0, 0, 1800, 12000, 0));
+  ]
+
+(* Run [f] at every batch size and pool size: the counter totals must
+   equal the recorded literals and [rows] of the result must equal
+   [reference]. *)
+let check_case ~name ~rows ~reference f =
+  Alcotest.(check bool) (name ^ ": reference non-empty") true (reference <> []);
   List.iter
-    (fun (n, run) ->
-      let a = Array.init n (fun _ -> Rng.int rng 1_000) in
-      let expect = Array.copy a in
-      Array.sort compare expect;
-      let c =
-        counted (fun () -> Qsort.sort_dpg ~run ~cmp:compare a) |> snd
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "n=%d run=%d sorted" n run)
-        true (a = expect);
-      Alcotest.(check bool) "operations tallied" true
-        (c.Counters.comparisons > 0 && c.Counters.data_moves > 0))
-    [ (100, 4096); (1_000, 64); (10_000, 4096); (10_000, 256) ]
+    (fun pool_size ->
+      let want = List.assoc (name, pool_size) expected in
+      List.iter
+        (fun bs ->
+          let out, c =
+            with_batch ~size:bs (fun () ->
+                with_pool pool_size (fun pool -> counted (fun () -> f pool)))
+          in
+          let label = Printf.sprintf "%s (batch %d, pool %d)" name bs pool_size in
+          Alcotest.(check bool) (label ^ ": same multiset") true
+            (rows out = reference);
+          Alcotest.check tally_t (label ^ ": counters") (split want)
+            (split (tally c)))
+        batch_sizes)
+    pool_sizes
 
-let test_kernel_choice () =
-  let saved = Qsort.mode () in
-  Fun.protect ~finally:(fun () -> Qsort.set_mode saved) @@ fun () ->
-  Qsort.set_mode Qsort.Auto;
-  Alcotest.(check bool) "auto, small, batched -> qsort" true
-    (Qsort.choose ~n:100 ~batched:true = Qsort.Quicksort);
-  Alcotest.(check bool) "auto, large, batched -> dpg" true
-    (Qsort.choose ~n:100_000 ~batched:true = Qsort.Dpg);
-  Alcotest.(check bool) "auto, large, scalar ablation stays qsort" true
-    (Qsort.choose ~n:100_000 ~batched:false = Qsort.Quicksort);
-  Qsort.set_mode (Qsort.Force Qsort.Dpg);
-  Alcotest.(check bool) "forced dpg wins" true
-    (Qsort.choose ~n:10 ~batched:false = Qsort.Dpg)
-
-(* The two kernels must agree on the answer (counters deliberately
-   differ): same sorted multiset through a sort-merge join. *)
-let test_sort_kernel_agreement () =
-  let r1, r2 = make_pair ~n:5_000 ~seed:10 () in
-  let outer = { Join.rel = r1; col = Workload.jcol } in
-  let inner = { Join.rel = r2; col = Workload.jcol } in
-  let saved = Qsort.mode () in
-  Fun.protect ~finally:(fun () -> Qsort.set_mode saved) @@ fun () ->
-  with_batch ~enabled:true ~size:256 @@ fun () ->
-  Qsort.set_mode (Qsort.Force Qsort.Quicksort);
-  let qs = multiset (Join.sort_merge ~outer ~inner ()) in
-  Qsort.set_mode (Qsort.Force Qsort.Dpg);
-  let dpg = multiset (Join.sort_merge ~outer ~inner ()) in
-  Alcotest.(check bool) "join produced pairs" true (List.length qs > 0);
-  Alcotest.(check bool) "kernels agree" true (qs = dpg)
-
-(* --- batched vs tuple-at-a-time operator equivalence --------------------- *)
-
-(* Run [f] both ways at one pool size and require identical multisets and
-   identical counter totals. *)
-let check_equivalence ~name ~pool_size f =
-  with_qsort @@ fun () ->
-  let scalar, scalar_c =
-    with_batch ~enabled:false ~size:Batch.default_size (fun () ->
-        with_pool pool_size (fun pool -> counted (fun () -> f pool)))
-  in
-  let scalar_rows = multiset scalar in
-  Alcotest.(check bool) (name ^ ": reference non-empty") true
-    (List.length scalar_rows > 0);
-  List.iter
-    (fun bs ->
-      let batched, batched_c =
-        with_batch ~enabled:true ~size:bs (fun () ->
-            with_pool pool_size (fun pool -> counted (fun () -> f pool)))
-      in
-      let label = Printf.sprintf "%s (batch %d, pool %d)" name bs pool_size in
-      Alcotest.(check bool) (label ^ ": same multiset") true
-        (multiset batched = scalar_rows);
-      check_counters label scalar_c batched_c)
-    batch_sizes
+(* The scan reference: a primary-index walk filtered tuple at a time. *)
+let scan_reference rel predicates =
+  let tl = Temp_list.create (Descriptor.of_schema (Relation.schema rel)) in
+  Relation.iter rel (fun t ->
+      if List.for_all (Select.matches t) predicates then Temp_list.append tl [| t |]);
+  multiset tl
 
 let test_scan_equivalence () =
   let r1, _ = make_pair ~seed:201 () in
@@ -228,94 +200,82 @@ let test_scan_equivalence () =
           | _ -> false);
     ]
   in
-  List.iter
-    (fun pool_size ->
-      check_equivalence ~name:"scan" ~pool_size (fun pool ->
-          Select.run ~pool r1 ~path:Select.Sequential_scan ~predicates))
-    pool_sizes;
+  let scan predicates =
+    check_case ~rows:multiset ~reference:(scan_reference r1 predicates)
+      (fun pool -> Select.run ~pool r1 ~path:Select.Sequential_scan ~predicates)
+  in
+  scan ~name:"scan" predicates;
   (* an Eq head exercises the key-slice fast path *)
   let some_key =
     let k = ref Value.Null in
     Relation.iter r1 (fun t -> if !k = Value.Null then k := Tuple.get t Workload.jcol);
     !k
   in
-  check_equivalence ~name:"scan-eq" ~pool_size:1 (fun pool ->
-      Select.run ~pool r1 ~path:Select.Sequential_scan
-        ~predicates:[ Select.Eq (Workload.jcol, some_key) ])
+  scan ~name:"scan-eq" [ Select.Eq (Workload.jcol, some_key) ]
+
+let join_sides ?n ~seed () =
+  let r1, r2 = make_pair ?n ~seed () in
+  ({ Join.rel = r1; col = Workload.jcol }, { Join.rel = r2; col = Workload.jcol })
 
 let test_hash_join_equivalence () =
-  let r1, r2 = make_pair ~seed:202 () in
-  let outer = { Join.rel = r1; col = Workload.jcol } in
-  let inner = { Join.rel = r2; col = Workload.jcol } in
-  let rp0, rv0 = Join.skew_stats () in
-  List.iter
-    (fun pool_size ->
-      check_equivalence ~name:"hash join" ~pool_size (fun pool ->
-          Join.hash_join ~pool ~outer ~inner ()))
-    pool_sizes;
-  (* near-uniform keys must never trip the skew machinery *)
-  let rp1, rv1 = Join.skew_stats () in
-  Alcotest.(check int) "no repartitions on uniform keys" rp0 rp1;
+  let outer, inner = join_sides ~seed:202 () in
+  let reference = multiset (Join.nested_loops ~outer ~inner ()) in
+  let _, rv0 = Join.skew_stats () in
+  check_case ~name:"hash join" ~rows:multiset ~reference (fun pool ->
+      Join.hash_join ~pool ~outer ~inner ());
+  check_case ~name:"hash join build outer" ~rows:multiset ~reference (fun pool ->
+      Join.hash_join ~pool ~build_outer:true ~outer ~inner ());
+  (* near-uniform keys must never trip role reversal *)
+  let _, rv1 = Join.skew_stats () in
   Alcotest.(check int) "no role reversals on uniform keys" rv0 rv1
 
 let test_hash_join_filter_equivalence () =
-  let r1, r2 = make_pair ~n:3_000 ~seed:203 () in
-  let outer = { Join.rel = r1; col = Workload.jcol } in
-  let inner = { Join.rel = r2; col = Workload.jcol } in
+  let outer, inner = join_sides ~n:3_000 ~seed:203 () in
   let outer_filter t =
     match Tuple.get t Workload.seq_col with
     | Value.Int s -> s mod 2 = 0
     | _ -> false
   in
-  List.iter
-    (fun pool_size ->
-      check_equivalence ~name:"filtered hash join" ~pool_size (fun pool ->
-          Join.hash_join ~pool ~outer_filter ~outer ~inner ()))
-    pool_sizes
+  let reference = multiset (Join.nested_loops ~outer_filter ~outer ~inner ()) in
+  check_case ~name:"filtered hash join" ~rows:multiset ~reference (fun pool ->
+      Join.hash_join ~pool ~outer_filter ~outer ~inner ());
+  check_case ~name:"filtered hash join build outer" ~rows:multiset ~reference
+    (fun pool -> Join.hash_join ~pool ~build_outer:true ~outer_filter ~outer ~inner ())
 
 let test_sort_merge_equivalence () =
-  let r1, r2 = make_pair ~seed:204 () in
-  let outer = { Join.rel = r1; col = Workload.jcol } in
-  let inner = { Join.rel = r2; col = Workload.jcol } in
-  List.iter
-    (fun pool_size ->
-      check_equivalence ~name:"sort merge" ~pool_size (fun pool ->
-          Join.sort_merge ~pool ~outer ~inner ()))
-    pool_sizes
+  let outer, inner = join_sides ~seed:204 () in
+  let reference = multiset (Join.nested_loops ~outer ~inner ()) in
+  check_case ~name:"sort merge" ~rows:multiset ~reference (fun pool ->
+      Join.sort_merge ~pool ~outer ~inner ())
 
 let test_project_aggregate_equivalence () =
   let r1, _ = make_pair ~seed:205 ~dup:70.0 () in
   let input = Temp_list.of_relation r1 in
   let labels = Descriptor.labels (Temp_list.descriptor input) in
   let jcol_label = List.nth labels Workload.jcol in
+  (* reference: the join column's values, counted per value *)
+  let counts = Hashtbl.create 64 in
+  Relation.iter r1 (fun t ->
+      let k = Tuple.get t Workload.jcol in
+      Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)));
+  let distinct = List.sort compare (Hashtbl.fold (fun k _ acc -> [ k ] :: acc) counts []) in
   List.iter
     (fun method_ ->
-      check_equivalence
+      check_case
         ~name:("project " ^ Project.method_name method_)
-        ~pool_size:1
+        ~rows:multiset ~reference:distinct
         (fun pool -> Project.run ~pool method_ input [ jcol_label ]))
     [ Project.Sort_scan; Project.Hashing ];
-  (* aggregation: same groups, same counters, batched drive vs iter *)
-  let run_agg () =
-    Aggregate.group input ~by:[ jcol_label ]
-      ~aggs:[ Aggregate.Count; Aggregate.Min jcol_label ]
+  let groups =
+    List.sort compare
+      (Hashtbl.fold (fun k n acc -> [ k; Value.Int n; k ] :: acc) counts [])
   in
-  let scalar, scalar_c =
-    with_batch ~enabled:false ~size:256 (fun () -> counted run_agg)
-  in
-  List.iter
-    (fun bs ->
-      let batched, batched_c =
-        with_batch ~enabled:true ~size:bs (fun () -> counted run_agg)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "aggregate (batch %d): same rows" bs)
-        true
-        (List.sort compare (List.map Array.to_list batched.Aggregate.rows)
-        = List.sort compare (List.map Array.to_list scalar.Aggregate.rows));
-      check_counters (Printf.sprintf "aggregate (batch %d)" bs) scalar_c
-        batched_c)
-    batch_sizes
+  check_case ~name:"aggregate"
+    ~rows:(fun r -> List.sort compare (List.map Array.to_list r.Aggregate.rows))
+    ~reference:groups
+    (fun _ ->
+      Aggregate.group input ~by:[ jcol_label ]
+        ~aggs:[ Aggregate.Count; Aggregate.Min jcol_label ])
 
 (* --- MVCC x domains: the PR 6 regression fix ----------------------------- *)
 
@@ -336,14 +296,14 @@ let test_mvcc_batched_scan () =
   Version_store.with_snapshot (fun _ ->
       (* sequential snapshot reference, tuple at a time *)
       let reference =
-        with_batch ~enabled:false ~size:256 (fun () ->
+        with_batch ~size:1 (fun () ->
             multiset (Select.run r1 ~path:Select.Sequential_scan ~predicates))
       in
       Alcotest.(check bool) "reference non-empty" true
         (List.length reference > 0);
       List.iter
         (fun bs ->
-          with_batch ~enabled:true ~size:bs (fun () ->
+          with_batch ~size:bs (fun () ->
               with_pool 4 (fun pool ->
                   let rows =
                     multiset
@@ -364,7 +324,7 @@ let test_mvcc_batched_scan_visibility () =
   let r = Workload.load ~name:"V" (Workload.column rng ~spec:(spec 2_000 0.0)) in
   Relation.ensure_view r;
   let all = [ Select.Between (Workload.seq_col, Value.Int 0, Value.Int max_int) ] in
-  with_batch ~enabled:true ~size:256 @@ fun () ->
+  with_batch ~size:256 @@ fun () ->
   with_pool 4 @@ fun pool ->
   Version_store.with_snapshot (fun _ ->
       let before =
@@ -401,17 +361,16 @@ let test_mvcc_batched_join () =
   let outer = { Join.rel = r1; col = Workload.jcol } in
   let inner = { Join.rel = r2; col = Workload.jcol } in
   Version_store.with_snapshot (fun _ ->
+      (* sequential snapshot reference, tuple at a time *)
       let reference =
-        with_batch ~enabled:false ~size:256 (fun () ->
-            with_pool 4 (fun pool ->
-                (* tuple-at-a-time: Join.run must still drop the pool *)
-                multiset (Join.run ~pool Join.Hash_join ~outer ~inner)))
+        with_batch ~size:1 (fun () ->
+            multiset (Join.run Join.Hash_join ~outer ~inner))
       in
       Alcotest.(check bool) "reference non-empty" true
         (List.length reference > 0);
       List.iter
         (fun bs ->
-          with_batch ~enabled:true ~size:bs (fun () ->
+          with_batch ~size:bs (fun () ->
               with_pool 4 (fun pool ->
                   let rows =
                     multiset (Join.run ~pool Join.Hash_join ~outer ~inner)
@@ -420,7 +379,7 @@ let test_mvcc_batched_join () =
                     (Printf.sprintf
                        "batched partitioned join under snapshot (batch %d)" bs)
                     true (rows = reference))))
-        [ 16; 256 ])
+        batch_sizes)
 
 (* --- skew robustness ----------------------------------------------------- *)
 
@@ -441,18 +400,15 @@ let test_skewed_join () =
   let r_outer = load_col ~name:"SkewOuter" outer_col in
   let outer = { Join.rel = r_outer; col = Workload.jcol } in
   let inner = { Join.rel = r_inner; col = Workload.jcol } in
-  let reference =
-    with_batch ~enabled:false ~size:256 (fun () ->
-        multiset (Join.hash_join ~outer ~inner ()))
-  in
+  let reference = with_batch ~size:1 (fun () -> multiset (Join.hash_join ~outer ~inner ())) in
   Alcotest.(check int) "hot pairs plus uniform matches"
     ((10 * 3_000) + 6_000 - 10)
     (List.length reference);
-  with_batch ~enabled:true ~size:256 @@ fun () ->
+  with_batch ~size:256 @@ fun () ->
   with_pool 4 @@ fun pool ->
-  let rp0, rv0 = Join.skew_stats () in
+  let _, rv0 = Join.skew_stats () in
   let rows = multiset (Join.hash_join ~pool ~outer ~inner ()) in
-  let rp1, rv1 = Join.skew_stats () in
+  let _, rv1 = Join.skew_stats () in
   Alcotest.(check bool) "skewed join answer matches sequential" true
     (rows = reference);
   (* the hot partition exceeds its working-set bound and the probe side
@@ -460,9 +416,27 @@ let test_skewed_join () =
   Alcotest.(check bool)
     (Printf.sprintf "role reversals taken (%d)" (rv1 - rv0))
     true
-    (rv1 - rv0 >= 1);
-  ignore rp0;
-  ignore rp1
+    (rv1 - rv0 >= 1)
+
+(* --- EXPLAIN ----------------------------------------------------------------- *)
+
+let test_explain_execution_line () =
+  let rng = Rng.create ~seed:11 () in
+  let db = Db.create () in
+  (match Db.add db (Workload.load ~name:"X" (Workload.column rng ~spec:(spec 100 0.0))) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let line size =
+    with_batch ~size (fun () ->
+        let text = Fmt.str "%a" Optimizer.pp_plan (Optimizer.plan db (Query.from "X")) in
+        List.find_opt
+          (fun l -> String.length l >= 10 && String.sub l 0 10 = "execution:")
+          (String.split_on_char '\n' text))
+  in
+  Alcotest.(check (option string)) "batch size 1"
+    (Some "execution: batch size 1 (tuple-at-a-time)") (line 1);
+  Alcotest.(check (option string)) "batch size 256"
+    (Some "execution: batch size 256") (line 256)
 
 let () =
   Alcotest.run "mmdb_batch"
@@ -471,12 +445,6 @@ let () =
         [
           Alcotest.test_case "iter_batches coverage" `Quick test_iter_batches;
           Alcotest.test_case "bulk appends" `Quick test_bulk_appends;
-        ] );
-      ( "sort",
-        [
-          Alcotest.test_case "dpg kernel sorts" `Quick test_sort_dpg;
-          Alcotest.test_case "kernel choice" `Quick test_kernel_choice;
-          Alcotest.test_case "kernels agree" `Quick test_sort_kernel_agreement;
         ] );
       ( "equivalence",
         [
@@ -499,4 +467,9 @@ let () =
         ] );
       ( "skew",
         [ Alcotest.test_case "hot-key join" `Quick test_skewed_join ] );
+      ( "explain",
+        [
+          Alcotest.test_case "execution line names the batch size" `Quick
+            test_explain_execution_line;
+        ] );
     ]
