@@ -51,6 +51,22 @@ let budget_used () =
 
 let create desc = { desc; entries = [||]; count = 0 }
 
+(* Make room for [needed] entries, at least doubling.  The new slots hold
+   the empty array, a static atom, never an entry: OCaml's [Array.make]
+   runs a minor collection first when it builds an array too large for
+   the minor heap around a minor-heap value, and while pool workers exist
+   every minor collection stops all domains.  A fill with an entry would
+   force one per doubling past 256 slots, in every worker's local list of
+   a parallel scan. *)
+let ensure_capacity t needed =
+  if needed > Array.length t.entries then begin
+    let grown =
+      Array.make (max 16 (max needed (2 * Array.length t.entries))) [||]
+    in
+    Array.blit t.entries 0 grown 0 t.count;
+    t.entries <- grown
+  end
+
 let descriptor t = t.desc
 let length t = t.count
 
@@ -58,11 +74,7 @@ let append t entry =
   if Array.length entry <> Descriptor.n_sources t.desc then
     invalid_arg "Temp_list.append: entry arity does not match descriptor";
   charge 1;
-  if t.count >= Array.length t.entries then begin
-    let grown = Array.make (max 16 (2 * Array.length t.entries)) entry in
-    Array.blit t.entries 0 grown 0 t.count;
-    t.entries <- grown
-  end;
+  ensure_capacity t (t.count + 1);
   t.entries.(t.count) <- entry;
   t.count <- t.count + 1
 
@@ -75,33 +87,20 @@ let append_all t src =
   if src.count > 0 then begin
     charge src.count;
     let needed = t.count + src.count in
-    if needed > Array.length t.entries then begin
-      let cap = max 16 (max needed (2 * Array.length t.entries)) in
-      let grown = Array.make cap src.entries.(0) in
-      Array.blit t.entries 0 grown 0 t.count;
-      t.entries <- grown
-    end;
+    ensure_capacity t needed;
     Array.blit src.entries 0 t.entries t.count src.count;
     t.count <- needed
   end
 
 (* Bulk appends for the batched kernels: one quota charge and one
-   capacity check per flush instead of per entry. *)
-let ensure_capacity t needed template =
-  if needed > Array.length t.entries then begin
-    let cap = max 16 (max needed (2 * Array.length t.entries)) in
-    let grown = Array.make cap template in
-    Array.blit t.entries 0 grown 0 t.count;
-    t.entries <- grown
-  end
-
-(* The first [n] tuples of [tuples] become single-source entries. *)
+   capacity check per flush instead of per entry.  The first [n] tuples
+   of [tuples] become single-source entries. *)
 let append_n t tuples n =
   if Descriptor.n_sources t.desc <> 1 then
     invalid_arg "Temp_list.append_n: single-source lists only";
   if n > 0 then begin
     charge n;
-    ensure_capacity t (t.count + n) [| tuples.(0) |];
+    ensure_capacity t (t.count + n);
     for i = 0 to n - 1 do
       t.entries.(t.count + i) <- [| tuples.(i) |]
     done;
@@ -114,7 +113,7 @@ let append_many t entries n =
     if Array.length entries.(0) <> Descriptor.n_sources t.desc then
       invalid_arg "Temp_list.append_many: entry arity does not match";
     charge n;
-    ensure_capacity t (t.count + n) entries.(0);
+    ensure_capacity t (t.count + n);
     Array.blit entries 0 t.entries t.count n;
     t.count <- t.count + n
   end

@@ -521,6 +521,61 @@ let test_temp_list_to_seq_and_get () =
     (Invalid_argument "Temp_list.get: out of bounds") (fun () ->
       ignore (Temp_list.get tl 9))
 
+(* Growing a temporary list must not force minor collections: OCaml's
+   [Array.make] collects the minor heap first when it fills an array too
+   large for it with a minor-heap value, and once pool workers exist that
+   stops every domain.  Each fill below stores 100k fresh entries; it may
+   take the collections that storing them into a preallocated array
+   takes, plus two.  Filling each doubling with a fresh entry forced nine
+   more. *)
+let test_temp_list_growth_gc () =
+  let dept = mk_dept () in
+  ignore (Result.get_ok (Relation.insert dept [| Value.Str "A"; Value.Int 1 |]));
+  let src = Temp_list.of_relation dept in
+  let tuple = (Temp_list.get src 0).(0) in
+  let n = 100_000 in
+  let minors f =
+    Gc.full_major ();
+    let m0 = (Gc.quick_stat ()).Gc.minor_collections in
+    f ();
+    (Gc.quick_stat ()).Gc.minor_collections - m0
+  in
+  let plain = Array.make n [||] in
+  let baseline =
+    minors (fun () ->
+        for i = 0 to n - 1 do
+          plain.(i) <- [| tuple |]
+        done)
+  in
+  let grown name fill =
+    let tl = Temp_list.create (Temp_list.descriptor src) in
+    let m = minors (fun () -> fill tl) in
+    Alcotest.(check int) (name ^ ": length") n (Temp_list.length tl);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d minor collections, preallocated array %d" name m
+         baseline)
+      true
+      (m <= baseline + 2)
+  in
+  grown "append" (fun tl ->
+      for _ = 1 to n do
+        Temp_list.append tl [| tuple |]
+      done);
+  let tuples = Array.make 256 tuple in
+  grown "append_n" (fun tl ->
+      for _ = 1 to n / 256 do
+        Temp_list.append_n tl tuples 256
+      done;
+      Temp_list.append_n tl tuples (n mod 256));
+  grown "append_many" (fun tl ->
+      let buf = Array.make 400 [||] in
+      for _ = 1 to n / 400 do
+        for i = 0 to 399 do
+          buf.(i) <- [| tuple |]
+        done;
+        Temp_list.append_many tl buf 400
+      done)
+
 let test_forwarding_stress () =
   (* many heap-overflow moves: tuples stay reachable through every index
      and the old pointers keep working *)
@@ -697,6 +752,8 @@ let () =
             test_temp_list_index;
           Alcotest.test_case "temp list seq/get" `Quick
             test_temp_list_to_seq_and_get;
+          Alcotest.test_case "growth forces no minor collection" `Quick
+            test_temp_list_growth_gc;
         ] );
       ( "misc",
         [
