@@ -3,7 +3,7 @@
      dune exec bin/mmdb_client.exe                       # REPL
      dune exec bin/mmdb_client.exe -- script.sql         # run a script
      dune exec bin/mmdb_client.exe -- --ping             # liveness probe
-     dune exec bin/mmdb_client.exe -- --status           # metrics dump
+     dune exec bin/mmdb_client.exe -- --status           # STATUS text
 
    Script mode stops at the first failed statement and exits non-zero
    (same contract as mmdb_shell).  [--ping] exits 0 iff the server
@@ -16,7 +16,7 @@ let usage () =
     {|usage: mmdb_client [--host ADDR] [--port N]
                    [script.sql | --ping | --status | --stats | --metrics
                     | --watch [--interval SEC] [--count N] | --replay FILE]
-  --status        fetch the machine-readable STATS payload and pretty-print it
+  --status        print the STATUS text (the STATS sections, one line each)
   --stats         dump the raw STATS JSON (one line, pipe to jq)
   --metrics       dump the Prometheus text-exposition METRICS payload
   --watch         poll METRICS and print one rates line per tick
@@ -25,61 +25,10 @@ let usage () =
   --replay FILE   re-execute a --capture workload file and report drift|};
   exit 2
 
-type mode = Repl | Script of string | Ping | Status | Stats | Metrics | Watch | Replay of string
-
-(* Pretty-print the STATS JSON payload: one line per scalar, one row per
-   list element, sections in the server's order.  Falls back to the raw
-   payload if it ever fails to parse. *)
-let pretty_stats text =
-  let module J = Mmdb_util.Json in
-  let scalar = function
-    | J.Int n -> string_of_int n
-    | J.Float f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Printf.sprintf "%.0f" f
-        else Printf.sprintf "%.3f" f
-    | J.Str s -> s
-    | J.Bool b -> string_of_bool b
-    | J.Null -> "-"
-    | J.List _ | J.Obj _ -> "..."
-  in
-  let fields kvs =
-    String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ scalar v) kvs)
-  in
-  match J.parse text with
-  | Error _ -> print_endline text
-  | Ok (J.Obj sections) ->
-      List.iter
-        (fun (name, v) ->
-          match v with
-          | J.Obj kvs
-            when List.for_all
-                   (fun (_, v) ->
-                     match v with J.Obj _ | J.List _ -> false | _ -> true)
-                   kvs ->
-              Printf.printf "%-12s %s\n" (name ^ ":") (fields kvs)
-          | J.Obj kvs ->
-              (* nested objects: one row per entry (by_kind) *)
-              Printf.printf "%s:\n" name;
-              List.iter
-                (fun (k, v) ->
-                  match v with
-                  | J.Obj inner ->
-                      Printf.printf "  %-10s %s\n" k (fields inner)
-                  | v -> Printf.printf "  %-10s %s\n" k (scalar v))
-                kvs
-          | J.List rows ->
-              (* row lists: one row per element (operators) *)
-              Printf.printf "%s:\n" name;
-              List.iter
-                (fun row ->
-                  match row with
-                  | J.Obj kvs -> Printf.printf "  %s\n" (fields kvs)
-                  | v -> Printf.printf "  %s\n" (scalar v))
-                rows
-          | v -> Printf.printf "%-12s %s\n" (name ^ ":") (scalar v))
-        sections
-  | Ok _ -> print_endline text
+type mode =
+  | Repl | Script of string | Watch | Replay of string
+  | Dump of (Client.t -> (string, string) result) * (string -> unit)
+      (* one request (PING, STATUS, STATS or METRICS), its answer printed *)
 
 (* Parse a Prometheus text exposition into [(name_and_labels, value)];
    comment and malformed lines are skipped. *)
@@ -152,16 +101,17 @@ let () =
         port := int_of_string v;
         parse_args rest
     | "--ping" :: rest ->
-        mode := Ping;
+        let ping c = Result.map (fun () -> "pong") (Client.ping c) in
+        mode := Dump (ping, print_endline);
         parse_args rest
     | "--status" :: rest ->
-        mode := Status;
+        mode := Dump (Client.status, print_endline);
         parse_args rest
     | "--stats" :: rest ->
-        mode := Stats;
+        mode := Dump (Client.stats, print_endline);
         parse_args rest
     | "--metrics" :: rest ->
-        mode := Metrics;
+        mode := Dump (Client.metrics, print_string);
         parse_args rest
     | "--watch" :: rest ->
         mode := Watch;
@@ -195,28 +145,10 @@ let () =
         exit 1
       in
       match !mode with
-      | Ping -> (
-          match Client.ping c with
-          | Ok () ->
-              print_endline "pong";
-              ignore (Client.quit c)
-          | Error msg -> fail msg)
-      | Status -> (
-          match Client.stats c with
+      | Dump (fetch, print) -> (
+          match fetch c with
           | Ok s ->
-              pretty_stats s;
-              ignore (Client.quit c)
-          | Error msg -> fail msg)
-      | Stats -> (
-          match Client.stats c with
-          | Ok s ->
-              print_endline s;
-              ignore (Client.quit c)
-          | Error msg -> fail msg)
-      | Metrics -> (
-          match Client.metrics c with
-          | Ok s ->
-              print_string s;
+              print s;
               ignore (Client.quit c)
           | Error msg -> fail msg)
       | Watch ->

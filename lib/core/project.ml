@@ -54,6 +54,17 @@ let parallel_pool pool n =
       Some pool
   | _ -> None
 
+(* [tl]'s entries as an array.  Arrays here are filled with a constant
+   first, never with an entry or a fresh pair: [Array.make] and
+   [Array.init] run a minor collection first when they build an array of
+   more than 256 slots around a minor-heap value. *)
+let entries tl =
+  let a = Array.make (Temp_list.length tl) [||] in
+  Array.iteri (fun i _ -> a.(i) <- Temp_list.get tl i) a;
+  a
+
+let no_key = ([||], [||])
+
 (* Narrow [tl] to [labels], then eliminate duplicate rows by sorting. *)
 let sort_scan ?pool ?(cutoff = 10) tl labels =
   let narrowed = Temp_list.project tl labels in
@@ -67,14 +78,16 @@ let sort_scan ?pool ?(cutoff = 10) tl labels =
     let keyed =
       match parallel_pool pool n with
       | Some pool ->
-          let entries = Array.init n (Temp_list.get narrowed) in
           Domain_pool.parallel_map pool
             (fun e -> (entry_key narrowed e, e))
-            entries
+            (entries narrowed)
       | None ->
-          Array.init n (fun i ->
-              let e = Temp_list.get narrowed i in
-              (entry_key narrowed e, e))
+          let keyed = Array.make n no_key in
+          for i = 0 to n - 1 do
+            let e = Temp_list.get narrowed i in
+            keyed.(i) <- (entry_key narrowed e, e)
+          done;
+          keyed
     in
     let cmp (a, _) (b, _) = key_cmp a b in
     Qsort.sort_with ~cutoff ?pool Qsort.Quicksort ~cmp keyed;
@@ -121,13 +134,12 @@ let hashing ?pool tl labels =
   let out = Temp_list.create (Temp_list.descriptor narrowed) in
   match parallel_pool pool n with
   | Some pool ->
-      let entries = Array.init n (Temp_list.get narrowed) in
       let keyed =
         Domain_pool.parallel_map pool
           (fun e ->
             let k = entry_key narrowed e in
             (key_hash k, k, e))
-          entries
+          (entries narrowed)
       in
       let p = Domain_pool.size pool in
       let parts = Array.make p [] in

@@ -201,340 +201,429 @@ let record_trace t root =
                Counters.add st.op_counters (Trace.exclusive_counters sp))
            () ~depth:0 root))
 
-type snapshot = {
-  s_accepted : int;
-  s_rejected : int;
-  s_closed : int;
-  s_reaped : int;
-  s_requests : int;
-  s_errors : int;
-  s_timeouts : int;
-  s_conflicts : int;
-  s_proto_errors : int;
-  s_cache_hits : int;
-  s_cache_misses : int;
-  s_ro_jobs : int;
-  s_slow : int;
-  s_shed : int;
-  s_quota : int;
-  s_write_timeouts : int;
-  s_captured : int;
-  s_uptime : float;
-  s_lat_n : int;
-  s_p50_ms : float option;
-  s_p99_ms : float option;
-  s_max_ms : float option;
-  s_qps_60s : float;  (* windowed: from the 120 x 1 s rings *)
-  s_err_60s : float;
-  s_shed_60s : float;
-  s_p50_60s_ms : float option;
-  s_p99_60s_ms : float option;
+(* --- one reply's view ----------------------------------------------------- *)
+
+(* Everything one STATUS / STATS / METRICS reply reports, read once under
+   the lock, so a reply's request total, latency histogram and per-kind
+   rows always agree.  The engine subsystems' figures are read there too,
+   one call each: they take their own locks, never the other way round. *)
+type view = {
+  c : t;  (* a copy of [t]: its counters, frozen *)
+  latency : Histogram.t;
+  recent : Histogram.t;  (* the trailing window *)
+  kinds : (string * Histogram.t * Histogram.t) list;  (* since boot, window *)
+  ops : (string * op_stat) list;
+  qps : float;
+  err_rate : float;
+  shed_rate : float;
+  active : int;
+  readers : int;
+  domains : int;
+  mvcc : Mmdb_storage.Version_store.stats;
+  batch : Mmdb_storage.Batch.stats;
+  reversals : int;
+  cost_based : bool;
+  planner : string;
+  advisor : Mmdb_core.Advisor.stats;
+  shapes : int;
+  observations : int;
+  worst : Mmdb_core.Feedback.entry list;
+  rotation_failed : int;
 }
 
-let snapshot t =
+let window = 60.0
+
+let copy h = Histogram.merge h (Histogram.create ())
+
+let read t ~active ~readers ~domains =
+  let sorted f tbl =
+    List.sort compare (Hashtbl.fold (fun k x acc -> f k x :: acc) tbl [])
+  in
   locked t (fun () ->
-      let ms = Option.map (fun s -> s *. 1000.0) in
-      let recent = Timeseries.merged t.ts_latency ~window:60.0 in
       {
-        s_accepted = t.accepted;
-        s_rejected = t.rejected;
-        s_closed = t.closed;
-        s_reaped = t.reaped;
-        s_requests = t.requests;
-        s_errors = t.errors;
-        s_timeouts = t.timeouts;
-        s_conflicts = t.conflicts;
-        s_proto_errors = t.proto_errors;
-        s_cache_hits = t.cache_hits;
-        s_cache_misses = t.cache_misses;
-        s_ro_jobs = t.ro_jobs;
-        s_slow = t.slow;
-        s_shed = t.shed;
-        s_quota = t.quota;
-        s_write_timeouts = t.write_timeouts;
-        s_captured = t.captured;
-        s_uptime = uptime t;
-        s_lat_n = Histogram.count t.latencies;
-        s_p50_ms = ms (Histogram.percentile t.latencies 50.0);
-        s_p99_ms = ms (Histogram.percentile t.latencies 99.0);
-        s_max_ms = ms (Histogram.max_sample t.latencies);
-        s_qps_60s = Timeseries.rate t.ts_requests ~window:60.0;
-        s_err_60s = Timeseries.rate t.ts_errors ~window:60.0;
-        s_shed_60s = Timeseries.rate t.ts_shed ~window:60.0;
-        s_p50_60s_ms = ms (Histogram.percentile recent 50.0);
-        s_p99_60s_ms = ms (Histogram.percentile recent 99.0);
+        c = { t with accepted = t.accepted };
+        latency = copy t.latencies;
+        recent = Timeseries.merged t.ts_latency ~window;
+        kinds =
+          sorted
+            (fun kind h ->
+              let ring = Hashtbl.find t.ts_by_kind kind in
+              (kind, copy h, Timeseries.merged ring ~window))
+            t.by_kind;
+        ops = sorted (fun name st -> (name, { st with op_calls = st.op_calls }))
+            t.ops;
+        qps = Timeseries.rate t.ts_requests ~window;
+        err_rate = Timeseries.rate t.ts_errors ~window;
+        shed_rate = Timeseries.rate t.ts_shed ~window;
+        active;
+        readers;
+        domains;
+        mvcc = Mmdb_storage.Version_store.stats ();
+        batch = Mmdb_storage.Batch.stats ();
+        reversals = snd (Mmdb_core.Join.skew_stats ());
+        cost_based = Mmdb_core.Optimizer.cost_based ();
+        planner = Mmdb_core.Optimizer.planner_name ();
+        advisor = Mmdb_core.Advisor.stats ();
+        shapes = Mmdb_core.Feedback.size ();
+        observations = Mmdb_core.Feedback.total_observations ();
+        worst = Mmdb_core.Feedback.worst ~limit:8 ();
+        rotation_failed = Capture.rotation_failed ();
       })
 
-(* Sorted copies of the breakdown tables, taken under the lock. *)
-let kind_rows t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun kind h acc ->
-          ( kind,
-            Histogram.count h,
-            Histogram.percentile h 50.0,
-            Histogram.percentile h 99.0,
-            Histogram.max_sample h )
-          :: acc)
-        t.by_kind []
-      |> List.sort compare)
+(* --- the registry ------------------------------------------------------- *)
 
-let op_rows t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun name st acc ->
-          (name, st.op_calls, st.op_secs, st.op_counters) :: acc)
-        t.ops []
-      |> List.sort compare)
+type value =
+  | Int of int
+  | Float of float
+  | Bool of bool  (* 1 or 0 in Prometheus *)
+  | Secs of float option
+      (* milliseconds in STATS and STATUS, seconds in Prometheus; [None]
+         (no samples) is null there and no sample here *)
+  | Info of string
+      (* Prometheus: 1, with the string as a label named by the key *)
+  | Hist of Histogram.t
+      (* Prometheus: cumulative [le] buckets; STATS and STATUS: fields n,
+         p50_ms, p99_ms and max_ms stand in for the key *)
 
-let render t ~active ~readers ~domains =
-  let s = snapshot t in
-  let pct = function
-    | None -> "-"
-    | Some v -> Printf.sprintf "%.3fms" v
+(* Where a family's rows sit in STATS. *)
+type table =
+  | Scalar  (* section.key *)
+  | Keyed  (* section.<label>.key *)
+  | Rows of string option
+      (* a list of row objects at section (or section.sub), each holding
+         its labels and one field per family *)
+
+type family = {
+  section : string;
+  key : string;
+  table : table;
+  name : string;  (* Prometheus family *)
+  help : string;
+  typ : string;  (* counter, gauge or histogram *)
+  labels : string list;
+  const : (string * string) list;  (* fixed labels, Prometheus only *)
+  read : view -> (string list * value) list;  (* label values, value *)
+}
+
+let family ?(table = Scalar) ?(labels = []) ?(const = []) typ (section, key)
+    name help read =
+  { section; key; table; name; help; typ; labels; const; read }
+
+let one ?const typ at name help f =
+  family ?const typ at name help (fun v -> [ ([], f v) ])
+
+let counter at name help f = one "counter" at name help (fun v -> Int (f v))
+let gauge ?const at name help f = one ?const "gauge" at name help f
+
+(* A column of a labelled table: one row per element of [rows v]. *)
+let column table labels rows ?const typ at name help f =
+  family ~table ~labels ?const typ at name help (fun v -> List.map f (rows v))
+
+let kind ?const typ key name help f =
+  column Keyed [ "kind" ] (fun v -> v.kinds) ?const typ ("by_kind", key) name
+    help (fun (k, h, r) -> ([ k ], f h r))
+
+let misestimate key name help f =
+  column (Rows None) [ "key" ] (fun v -> v.worst) "gauge"
+    ("worst_misestimates", key) name help (fun (e : Mmdb_core.Feedback.entry) ->
+      ([ e.fb_key ], f e))
+
+let op key name help f =
+  column (Rows None) [ "operator" ] (fun v -> v.ops) "counter"
+    ("operators", key) name help (fun (n, st) -> ([ n ], f st))
+
+let q50 = ("quantile", "0.5") and q99 = ("quantile", "0.99")
+let win = ("window", "60s")
+let pct h p = Secs (Histogram.percentile h p)
+
+(* Every metric the server reports, defined once, in the order all three
+   renderings list them. *)
+let families =
+  [
+    gauge ("server", "uptime_s") "mmdb_uptime_seconds"
+      "Seconds since server start" (fun v -> Float (uptime v.c));
+    gauge ("server", "revision") "mmdb_build_info"
+      "Git revision of the server build" (fun _ -> Info (Build.git_rev ()));
+    gauge ("server", "domains") "mmdb_domains" "Domains in the execution pool"
+      (fun v -> Int v.domains);
+    gauge ("server", "readers") "mmdb_executor_readers"
+      "Parallel read-job slots" (fun v -> Int v.readers);
+    gauge ("connections", "active") "mmdb_active_connections"
+      "Currently live sessions" (fun v -> Int v.active);
+    counter ("connections", "accepted") "mmdb_connections_accepted_total"
+      "Connections admitted" (fun v -> v.c.accepted);
+    counter ("connections", "rejected") "mmdb_connections_rejected_total"
+      "Admission-gate refusals" (fun v -> v.c.rejected);
+    counter ("connections", "closed") "mmdb_connections_closed_total"
+      "Sessions torn down" (fun v -> v.c.closed);
+    counter ("connections", "idle_reaped") "mmdb_connections_reaped_total"
+      "Sessions closed by the idle reaper" (fun v -> v.c.reaped);
+    counter ("requests", "total") "mmdb_requests_total"
+      "Requests answered (any outcome)" (fun v -> v.c.requests);
+    counter ("requests", "errors") "mmdb_errors_total"
+      "Requests answered with an error" (fun v -> v.c.errors);
+    counter ("requests", "timeouts") "mmdb_timeouts_total"
+      "Per-request timeouts" (fun v -> v.c.timeouts);
+    counter ("requests", "conflicts") "mmdb_conflicts_total"
+      "Lock-conflict / deadlock errors" (fun v -> v.c.conflicts);
+    counter ("requests", "protocol_errors") "mmdb_protocol_errors_total"
+      "Malformed frames or requests" (fun v -> v.c.proto_errors);
+    counter ("requests", "slow") "mmdb_slow_queries_total"
+      "Requests over the slow-query threshold" (fun v -> v.c.slow);
+    counter ("requests", "shed") "mmdb_shed_total"
+      "Requests dropped at the overload watermark" (fun v -> v.c.shed);
+    counter ("requests", "quota_killed") "mmdb_quota_killed_total"
+      "Requests killed by a per-query quota" (fun v -> v.c.quota);
+    counter ("requests", "write_timeouts") "mmdb_write_timeouts_total"
+      "Sessions cut for not draining their replies" (fun v ->
+        v.c.write_timeouts);
+    counter ("requests", "read_jobs") "mmdb_read_jobs_total"
+      "Jobs dispatched on the parallel-reader path" (fun v -> v.c.ro_jobs);
+    counter ("requests", "stmt_cache_hits") "mmdb_stmt_cache_hits_total"
+      "Statement-cache hits" (fun v -> v.c.cache_hits);
+    counter ("requests", "stmt_cache_misses") "mmdb_stmt_cache_misses_total"
+      "Statement-cache misses" (fun v -> v.c.cache_misses);
+    counter ("requests", "captured") "mmdb_captured_statements_total"
+      "Statements appended to the workload capture file" (fun v ->
+        v.c.captured);
+    counter ("requests", "capture_rotation_failed")
+      "mmdb_capture_rotation_failed_total"
+      "Capture-file rotations that failed (file kept growing, no loss)"
+      (fun v -> v.rotation_failed);
+    gauge ("planner", "name") "mmdb_planner_info" "The active planner"
+      (fun v -> Info v.planner);
+    gauge ("planner", "cost_based") "mmdb_cost_based_enabled"
+      "1 when the cost-based planner is active" (fun v -> Bool v.cost_based);
+    counter ("advisor", "runs") "mmdb_advisor_runs_total"
+      "Index-advisor passes executed" (fun v -> v.advisor.adv_runs);
+    counter ("advisor", "created") "mmdb_advisor_indices_created_total"
+      "Secondary indices the advisor has created" (fun v ->
+        v.advisor.adv_created);
+    counter ("advisor", "dropped") "mmdb_advisor_indices_dropped_total"
+      "Advisor-created indices dropped as stale" (fun v ->
+        v.advisor.adv_dropped);
+    gauge ("advisor", "active_indices") "mmdb_advisor_active_indices"
+      "Advisor-owned indices currently live" (fun v ->
+        Int (List.length v.advisor.adv_active));
+    column (Rows (Some "active")) [ "relation" ]
+      (fun v -> v.advisor.adv_active)
+      "gauge" ("advisor", "index") "mmdb_advisor_active_index"
+      "An advisor-owned index currently live" (fun (rel, idx) ->
+        ([ rel ], Info idx));
+    gauge ~const:[ win ] ("last_60s", "qps") "mmdb_qps"
+      "Requests per second over the trailing window" (fun v -> Float v.qps);
+    gauge ~const:[ win ] ("last_60s", "errors_per_s") "mmdb_error_rate"
+      "Errors per second over the trailing window" (fun v -> Float v.err_rate);
+    gauge ~const:[ win ] ("last_60s", "shed_per_s") "mmdb_shed_rate"
+      "Shed requests per second over the trailing window" (fun v ->
+        Float v.shed_rate);
+    gauge ~const:[ q50; win ] ("last_60s", "p50_ms")
+      "mmdb_recent_latency_seconds"
+      "Request latency quantiles over the trailing window" (fun v ->
+        pct v.recent 50.0);
+    gauge ~const:[ q99; win ] ("last_60s", "p99_ms")
+      "mmdb_recent_latency_seconds"
+      "Request latency quantiles over the trailing window" (fun v ->
+        pct v.recent 99.0);
+    one "histogram" ("latency", "") "mmdb_request_latency_seconds"
+      "Request latency since boot" (fun v -> Hist v.latency);
+    gauge ("mvcc", "enabled") "mmdb_mvcc_enabled"
+      "1 when the MVCC read path is on" (fun v -> Bool v.mvcc.st_enabled);
+    gauge ("mvcc", "commit_ts") "mmdb_mvcc_commit_ts" "Latest commit timestamp"
+      (fun v -> Int v.mvcc.st_commit_ts);
+    counter ("mvcc", "snapshots_taken") "mmdb_mvcc_snapshots_total"
+      "Statement snapshots taken" (fun v -> v.mvcc.st_snapshots_taken);
+    gauge ("mvcc", "live_snapshots") "mmdb_mvcc_live_snapshots"
+      "Currently live snapshots" (fun v -> Int v.mvcc.st_live_snapshots);
+    gauge ("mvcc", "oldest_snapshot_age") "mmdb_mvcc_oldest_snapshot_age"
+      "Age of the oldest live snapshot, in commits" (fun v ->
+        Int v.mvcc.st_oldest_snapshot_age);
+    counter ("mvcc", "gc_runs") "mmdb_mvcc_gc_runs_total"
+      "Version-store GC passes" (fun v -> v.mvcc.st_gc_runs);
+    counter ("mvcc", "versions_created") "mmdb_mvcc_versions_created_total"
+      "Tuple versions created" (fun v -> v.mvcc.st_versions_created);
+    counter ("mvcc", "versions_reclaimed") "mmdb_mvcc_versions_reclaimed_total"
+      "Tuple versions reclaimed" (fun v -> v.mvcc.st_versions_reclaimed);
+    counter ("mvcc", "tuples_swept") "mmdb_mvcc_tuples_swept_total"
+      "Tuples whose version chains GC has swept" (fun v ->
+        v.mvcc.st_tuples_swept);
+    gauge ("mvcc", "max_chain") "mmdb_mvcc_max_chain"
+      "Longest version chain seen" (fun v -> Int v.mvcc.st_max_chain);
+    gauge ("batch", "enabled") "mmdb_batch_enabled"
+      "1 when batches carry more than one tuple" (fun v ->
+        Bool v.batch.st_enabled);
+    gauge ("batch", "size") "mmdb_batch_size" "Tuples per execution batch"
+      (fun v -> Int v.batch.st_size);
+    counter ("batch", "batches") "mmdb_batches_total" "Batches formed" (fun v ->
+        v.batch.st_batches);
+    counter ("batch", "rows") "mmdb_batch_rows_total" "Rows carried in batches"
+      (fun v -> v.batch.st_rows);
+    counter ("batch", "join_role_reversals") "mmdb_join_role_reversals_total"
+      "Skew-triggered build/probe role reversals in the partitioned join"
+      (fun v -> v.reversals);
+    gauge ("feedback", "shapes") "mmdb_feedback_shapes"
+      "Distinct plan shapes in the feedback store" (fun v -> Int v.shapes);
+    counter ("feedback", "observations") "mmdb_feedback_observations_total"
+      "Operator executions recorded in the feedback store" (fun v ->
+        v.observations);
+    kind "counter" "n" "mmdb_kind_requests_total" "Requests per statement kind"
+      (fun h _ -> Int (Histogram.count h));
+    kind ~const:[ q50 ] "gauge" "p50_ms" "mmdb_kind_latency_seconds"
+      "Per-statement-kind latency quantiles since boot" (fun h _ -> pct h 50.0);
+    kind ~const:[ q99 ] "gauge" "p99_ms" "mmdb_kind_latency_seconds"
+      "Per-statement-kind latency quantiles since boot" (fun h _ -> pct h 99.0);
+    kind "gauge" "max_ms" "mmdb_kind_latency_max_seconds"
+      "Per-statement-kind latency maximum since boot" (fun h _ ->
+        Secs (Histogram.max_sample h));
+    kind ~const:[ q50; win ] "gauge" "p50_60s_ms"
+      "mmdb_kind_latency_seconds_windowed"
+      "Per-statement-kind latency quantiles over the trailing window"
+      (fun _ r -> pct r 50.0);
+    kind ~const:[ q99; win ] "gauge" "p99_60s_ms"
+      "mmdb_kind_latency_seconds_windowed"
+      "Per-statement-kind latency quantiles over the trailing window"
+      (fun _ r -> pct r 99.0);
+    misestimate "n" "mmdb_feedback_shape_observations"
+      "Observations per plan shape (top offenders)" (fun e -> Int e.fb_n);
+    misestimate "avg_est" "mmdb_feedback_avg_est_rows"
+      "Average estimated rows per plan shape (top offenders)" (fun e ->
+        Float e.fb_avg_est);
+    misestimate "avg_actual" "mmdb_feedback_avg_actual_rows"
+      "Average actual rows per plan shape (top offenders)" (fun e ->
+        Float e.fb_avg_actual);
+    misestimate "worst_err" "mmdb_feedback_worst_err"
+      "Worst symmetric misestimation ratio per plan shape (top offenders)"
+      (fun e -> Float e.fb_worst_err);
+    misestimate "last_est" "mmdb_feedback_last_est_rows"
+      "Last estimated rows per plan shape (top offenders)" (fun e ->
+        Int e.fb_last_est);
+    misestimate "last_actual" "mmdb_feedback_last_actual_rows"
+      "Last actual rows per plan shape (top offenders)" (fun e ->
+        Int e.fb_last_actual);
+    op "calls" "mmdb_operator_calls_total" "Traced executions per operator"
+      (fun st -> Int st.op_calls);
+    op "time_ms" "mmdb_operator_seconds_total"
+      "Exclusive traced time per operator" (fun st -> Secs (Some st.op_secs));
+    op "comparisons" "mmdb_operator_comparisons_total"
+      "Key comparisons per operator (paper section 3.1)" (fun st ->
+        Int st.op_counters.Counters.comparisons);
+    op "data_moves" "mmdb_operator_data_moves_total"
+      "Data moves per operator (paper section 3.1)" (fun st ->
+        Int st.op_counters.Counters.data_moves);
+    op "hash_calls" "mmdb_operator_hash_calls_total"
+      "Hash-function calls per operator (paper section 3.1)" (fun st ->
+        Int st.op_counters.Counters.hash_calls);
+    op "ptr_derefs" "mmdb_operator_ptr_derefs_total"
+      "Pointer dereferences per operator (paper section 3.1)" (fun st ->
+        Int st.op_counters.Counters.ptr_derefs);
+  ]
+
+let family_names = List.map (fun f -> (f.section, f.key, f.name)) families
+
+(* --- STATS and STATUS: the families set into one JSON tree -------------- *)
+
+(* A step into the tree: an object key, or the row of a row list whose
+   label fields are these. *)
+type step = K of string | R of (string * Json.t) list
+
+(* [kvs] with [k]'s value (or [init], appended) passed through [f]. *)
+let rec upd k ~init f = function
+  | [] -> [ (k, f init) ]
+  | (k', x) :: rest when k' = k -> (k, f x) :: rest
+  | kv :: rest -> kv :: upd k ~init f rest
+
+(* Set [x] at [path] in [j], creating objects and rows on the way; an
+   object set onto an object merges into it, and an empty container
+   leaves an existing one alone. *)
+let rec insert path x j =
+  match (path, j, x) with
+  | [], Json.Obj a, Json.Obj b ->
+      Json.Obj (List.fold_left (fun a (k, y) -> upd k ~init:y Fun.id a) a b)
+  | [], Json.List _, Json.List [] -> j
+  | [], _, _ -> x
+  | K k :: rest, Json.Obj kvs, _ ->
+      let init = match rest with R _ :: _ -> Json.List [] | _ -> Json.Obj [] in
+      Json.Obj (upd k ~init (insert rest x) kvs)
+  | R ids :: rest, Json.List rows, _ ->
+      let mine = function
+        | Json.Obj kvs -> List.for_all (fun kv -> List.mem kv kvs) ids
+        | _ -> false
+      in
+      if List.exists mine rows then
+        Json.List
+          (List.map (fun r -> if mine r then insert rest x r else r) rows)
+      else Json.List (rows @ [ insert rest x (Json.Obj ids) ])
+  | _ -> j
+
+let rec json = function
+  | Int n -> Json.Int n
+  | Float x -> Json.Float x
+  | Bool b -> Json.Bool b
+  | Secs s ->
+      Option.fold ~none:Json.Null ~some:(fun x -> Json.Float (x *. 1000.0)) s
+  | Info s -> Json.Str s
+  | Hist h ->
+      Json.Obj
+        [
+          ("n", Json.Int (Histogram.count h));
+          ("p50_ms", json (Secs (Histogram.percentile h 50.0)));
+          ("p99_ms", json (Secs (Histogram.percentile h 99.0)));
+          ("max_ms", json (Secs (Histogram.max_sample h)));
+        ]
+
+let tree v =
+  List.fold_left
+    (fun tree f ->
+      let base =
+        K f.section :: (match f.table with Rows (Some s) -> [ K s ] | _ -> [])
+      in
+      let empty =
+        match f.table with Rows _ -> Json.List [] | _ -> Json.Obj []
+      in
+      List.fold_left
+        (fun tree (labels, x) ->
+          let row =
+            match f.table with
+            | Scalar -> []
+            | Keyed -> [ K (List.hd labels) ]
+            | Rows _ ->
+                [ R (List.map2 (fun k l -> (k, Json.Str l)) f.labels labels) ]
+          in
+          let key = match x with Hist _ -> [] | _ -> [ K f.key ] in
+          insert (base @ row @ key) (json x) tree)
+        (insert base empty tree) (f.read v))
+    (Json.Obj []) families
+
+(* STATUS: the STATS tree as text.  A section's scalar fields share its
+   line; each nested table follows, one row per line. *)
+let text tree =
+  let scalar = function
+    | Json.Float x when not (Float.is_integer x) -> Printf.sprintf "%.3f" x
+    | Json.Str s -> s
+    | x -> Json.to_string x
   in
-  let base =
-    [
-      Printf.sprintf "server:      uptime=%.1fs revision=%s domains=%d"
-        s.s_uptime (Build.git_rev ()) domains;
-      Printf.sprintf
-        "connections: active=%d accepted=%d rejected=%d closed=%d idle_reaped=%d"
-        active s.s_accepted s.s_rejected s.s_closed s.s_reaped;
-      Printf.sprintf
-        "requests:    total=%d errors=%d timeouts=%d conflicts=%d protocol_errors=%d slow=%d"
-        s.s_requests s.s_errors s.s_timeouts s.s_conflicts s.s_proto_errors
-        s.s_slow;
-      Printf.sprintf
-        "overload:    shed=%d quota_killed=%d write_timeouts=%d" s.s_shed
-        s.s_quota s.s_write_timeouts;
-      Printf.sprintf
-        "executor:    readers=%d read_jobs=%d stmt_cache_hits=%d stmt_cache_misses=%d"
-        readers s.s_ro_jobs s.s_cache_hits s.s_cache_misses;
-      Printf.sprintf "latency:     samples=%d p50=%s p99=%s max=%s" s.s_lat_n
-        (pct s.s_p50_ms) (pct s.s_p99_ms) (pct s.s_max_ms);
-      Printf.sprintf
-        "last 60s:    qps=%.2f errors/s=%.2f shed/s=%.2f p50=%s p99=%s"
-        s.s_qps_60s s.s_err_60s s.s_shed_60s (pct s.s_p50_60s_ms)
-        (pct s.s_p99_60s_ms);
-      Printf.sprintf "capture:     statements=%d rotation_failed=%d"
-        s.s_captured
-        (Capture.rotation_failed ());
-      Printf.sprintf "planner:     %s" (Mmdb_core.Optimizer.planner_name ());
-      (let a = Mmdb_core.Advisor.stats () in
-       Printf.sprintf
-         "advisor:     runs=%d created=%d dropped=%d active=%d%s" a.adv_runs
-         a.adv_created a.adv_dropped
-         (List.length a.adv_active)
-         (match a.adv_active with
-         | [] -> ""
-         | l ->
-             " ["
-             ^ String.concat ", "
-                 (List.map (fun (r, i) -> r ^ "." ^ i) l)
-             ^ "]"));
-      (let v = Mmdb_storage.Version_store.stats () in
-       Printf.sprintf
-         "mvcc:        enabled=%b commit_ts=%d snapshots=%d live=%d \
-          oldest_age=%d gc_runs=%d created=%d reclaimed=%d swept=%d \
-          max_chain=%d"
-         v.st_enabled v.st_commit_ts v.st_snapshots_taken v.st_live_snapshots
-         v.st_oldest_snapshot_age v.st_gc_runs v.st_versions_created
-         v.st_versions_reclaimed v.st_tuples_swept v.st_max_chain);
-      (let b = Mmdb_storage.Batch.stats () in
-       let _, reversals = Mmdb_core.Join.skew_stats () in
-       Printf.sprintf
-         "batch:       enabled=%b size=%d batches=%d rows=%d \
-          join_role_reversals=%d"
-         b.st_enabled b.st_size b.st_batches b.st_rows reversals);
-    ]
-  in
-  let kinds =
-    List.map
-      (fun (kind, n, p50, p99, mx) ->
-        Printf.sprintf "  %-8s n=%d p50=%s p99=%s max=%s" kind n
-          (pct (Option.map (fun v -> v *. 1000.0) p50))
-          (pct (Option.map (fun v -> v *. 1000.0) p99))
-          (pct (Option.map (fun v -> v *. 1000.0) mx)))
-      (kind_rows t)
-  in
-  let ops =
-    List.map
-      (fun (name, calls, secs, (c : Counters.snapshot)) ->
-        Printf.sprintf
-          "  %-14s calls=%d time=%.3fms cmp=%d moves=%d hash=%d derefs=%d" name
-          calls (secs *. 1000.0) c.Counters.comparisons c.Counters.data_moves
-          c.Counters.hash_calls c.Counters.ptr_derefs)
-      (op_rows t)
-  in
-  (* The cardinality-feedback worst offenders: where the optimizer's
-     estimates are furthest from what executing the shape produced. *)
-  let feedback =
+  let nested = function Json.Obj _ | Json.List _ -> true | _ -> false in
+  let kvs = function Json.Obj kvs -> kvs | _ -> [] in
+  let fields j =
     List.filter_map
-      (fun (e : Mmdb_core.Feedback.entry) ->
-        if e.fb_worst_err <= 1.0 then None
-        else
-          Some
-            (Printf.sprintf
-               "  %-40s n=%d avg_est=%.0f avg_actual=%.0f worst_err=%.1fx"
-               e.fb_key e.fb_n e.fb_avg_est e.fb_avg_actual e.fb_worst_err))
-      (Mmdb_core.Feedback.worst ~limit:8 ())
+      (fun (k, x) -> if nested x then None else Some (k ^ "=" ^ scalar x))
+      (kvs j)
   in
-  String.concat "\n"
-    (base
-    @ (if kinds = [] then [] else "by kind:" :: kinds)
-    @ (if feedback = [] then [] else "worst misestimates:" :: feedback)
-    @ if ops = [] then [] else "operators:" :: ops)
-
-(* Machine-readable twin of [render], served by the STATS request. *)
-let stats_json t ~active ~readers ~domains =
-  let s = snapshot t in
-  let ms v = Option.fold ~none:Json.Null ~some:(fun x -> Json.Float x) v in
-  let hist_obj n p50 p99 mx =
-    Json.Obj
-      [
-        ("n", Json.Int n);
-        ("p50_ms", ms (Option.map (fun v -> v *. 1000.0) p50));
-        ("p99_ms", ms (Option.map (fun v -> v *. 1000.0) p99));
-        ("max_ms", ms (Option.map (fun v -> v *. 1000.0) mx));
-      ]
+  let rec lines indent (k, j) =
+    let head = indent ^ k ^ ":" in
+    (if fields j = [] then head
+     else String.concat " " (Printf.sprintf "%-12s" head :: fields j))
+    ::
+    (match j with
+    | Json.List rows ->
+        List.map (fun r -> indent ^ "  " ^ String.concat " " (fields r)) rows
+    | j ->
+        List.concat_map (lines (indent ^ "  "))
+          (List.filter (fun (_, x) -> nested x) (kvs j)))
   in
-  Json.to_string
-    (Json.Obj
-       [
-         ( "server",
-           Json.Obj
-             [
-               ("uptime_s", Json.Float s.s_uptime);
-               ("revision", Json.Str (Build.git_rev ()));
-               ("domains", Json.Int domains);
-               ("readers", Json.Int readers);
-             ] );
-         ( "connections",
-           Json.Obj
-             [
-               ("active", Json.Int active);
-               ("accepted", Json.Int s.s_accepted);
-               ("rejected", Json.Int s.s_rejected);
-               ("closed", Json.Int s.s_closed);
-               ("idle_reaped", Json.Int s.s_reaped);
-             ] );
-         ( "requests",
-           Json.Obj
-             [
-               ("total", Json.Int s.s_requests);
-               ("errors", Json.Int s.s_errors);
-               ("timeouts", Json.Int s.s_timeouts);
-               ("conflicts", Json.Int s.s_conflicts);
-               ("protocol_errors", Json.Int s.s_proto_errors);
-               ("slow", Json.Int s.s_slow);
-               ("shed", Json.Int s.s_shed);
-               ("quota_killed", Json.Int s.s_quota);
-               ("write_timeouts", Json.Int s.s_write_timeouts);
-               ("read_jobs", Json.Int s.s_ro_jobs);
-               ("stmt_cache_hits", Json.Int s.s_cache_hits);
-               ("stmt_cache_misses", Json.Int s.s_cache_misses);
-               ("captured", Json.Int s.s_captured);
-               ("capture_rotation_failed", Json.Int (Capture.rotation_failed ()));
-             ] );
-         ( "planner",
-           Json.Obj
-             [
-               ("name", Json.Str (Mmdb_core.Optimizer.planner_name ()));
-               ("cost_based", Json.Bool (Mmdb_core.Optimizer.cost_based ()));
-             ] );
-         ( "advisor",
-           let a = Mmdb_core.Advisor.stats () in
-           Json.Obj
-             [
-               ("runs", Json.Int a.adv_runs);
-               ("created", Json.Int a.adv_created);
-               ("dropped", Json.Int a.adv_dropped);
-               ( "active",
-                 Json.List
-                   (List.map
-                      (fun (rel, idx) ->
-                        Json.Obj
-                          [ ("relation", Json.Str rel); ("index", Json.Str idx) ])
-                      a.adv_active) );
-             ] );
-         ( "last_60s",
-           Json.Obj
-             [
-               ("qps", Json.Float s.s_qps_60s);
-               ("errors_per_s", Json.Float s.s_err_60s);
-               ("shed_per_s", Json.Float s.s_shed_60s);
-               ("p50_ms", ms s.s_p50_60s_ms);
-               ("p99_ms", ms s.s_p99_60s_ms);
-             ] );
-         ( "latency",
-           hist_obj s.s_lat_n
-             (Option.map (fun v -> v /. 1000.0) s.s_p50_ms)
-             (Option.map (fun v -> v /. 1000.0) s.s_p99_ms)
-             (Option.map (fun v -> v /. 1000.0) s.s_max_ms) );
-         ( "mvcc",
-           let v = Mmdb_storage.Version_store.stats () in
-           Json.Obj
-             [
-               ("enabled", Json.Bool v.st_enabled);
-               ("commit_ts", Json.Int v.st_commit_ts);
-               ("snapshots_taken", Json.Int v.st_snapshots_taken);
-               ("live_snapshots", Json.Int v.st_live_snapshots);
-               ("oldest_snapshot_age", Json.Int v.st_oldest_snapshot_age);
-               ("gc_runs", Json.Int v.st_gc_runs);
-               ("versions_created", Json.Int v.st_versions_created);
-               ("versions_reclaimed", Json.Int v.st_versions_reclaimed);
-               ("tuples_swept", Json.Int v.st_tuples_swept);
-               ("max_chain", Json.Int v.st_max_chain);
-             ] );
-         ( "batch",
-           let b = Mmdb_storage.Batch.stats () in
-           let _, reversals = Mmdb_core.Join.skew_stats () in
-           Json.Obj
-             [
-               ("enabled", Json.Bool b.st_enabled);
-               ("size", Json.Int b.st_size);
-               ("batches", Json.Int b.st_batches);
-               ("rows", Json.Int b.st_rows);
-               ("join_role_reversals", Json.Int reversals);
-             ] );
-         ( "by_kind",
-           Json.Obj
-             (List.map
-                (fun (kind, n, p50, p99, mx) -> (kind, hist_obj n p50 p99 mx))
-                (kind_rows t)) );
-         ( "worst_misestimates",
-           Json.List
-             (List.map
-                (fun (e : Mmdb_core.Feedback.entry) ->
-                  Json.Obj
-                    [
-                      ("key", Json.Str e.fb_key);
-                      ("n", Json.Int e.fb_n);
-                      ("avg_est", Json.Float e.fb_avg_est);
-                      ("avg_actual", Json.Float e.fb_avg_actual);
-                      ("worst_err", Json.Float e.fb_worst_err);
-                      ("last_est", Json.Int e.fb_last_est);
-                      ("last_actual", Json.Int e.fb_last_actual);
-                    ])
-                (Mmdb_core.Feedback.worst ~limit:8 ())) );
-         ( "operators",
-           Json.List
-             (List.map
-                (fun (name, calls, secs, (c : Counters.snapshot)) ->
-                  Json.Obj
-                    [
-                      ("operator", Json.Str name);
-                      ("calls", Json.Int calls);
-                      ("time_ms", Json.Float (secs *. 1000.0));
-                      ("comparisons", Json.Int c.Counters.comparisons);
-                      ("data_moves", Json.Int c.Counters.data_moves);
-                      ("hash_calls", Json.Int c.Counters.hash_calls);
-                      ("ptr_derefs", Json.Int c.Counters.ptr_derefs);
-                    ])
-                (op_rows t)) );
-       ])
+  String.concat "\n" (List.concat_map (lines "") (kvs tree))
 
-(* --- Prometheus text exposition ------------------------------------------ *)
+(* --- Prometheus text exposition ----------------------------------------- *)
 
 (* Hand-rendered like [Util.Json]: no dependency, no surprises.  The
    format is the v0.0.4 text exposition — "# HELP"/"# TYPE" preambles,
@@ -562,204 +651,57 @@ let prom_label_value s =
     s;
   Buffer.contents b
 
-let prometheus t ~active ~readers ~domains =
-  let s = snapshot t in
+(* Families sharing a name (one per quantile) are adjacent in the
+   registry and share one preamble. *)
+let exposition v =
   let b = Buffer.create 4096 in
-  let header name kind help =
-    Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name kind)
-  in
-  let sample ?(labels = []) name v =
+  let sample name labels x =
     let l =
-      match labels with
-      | [] -> ""
-      | ls ->
-          "{"
-          ^ String.concat ","
-              (List.map
-                 (fun (k, v) ->
-                   Printf.sprintf "%s=\"%s\"" k (prom_label_value v))
-                 ls)
-          ^ "}"
+      List.map
+        (fun (k, s) -> Printf.sprintf "%s=\"%s\"" k (prom_label_value s))
+        labels
     in
-    Buffer.add_string b (Printf.sprintf "%s%s %s\n" name l (prom_float v))
+    Printf.bprintf b "%s%s %s\n" name
+      (if l = [] then "" else "{" ^ String.concat "," l ^ "}")
+      (prom_float x)
   in
-  let counter name help v =
-    header name "counter" help;
-    sample name (float_of_int v)
-  in
-  let gauge name help v =
-    header name "gauge" help;
-    sample name v
-  in
-  (* counters *)
-  counter "mmdb_requests_total" "Requests answered (any outcome)" s.s_requests;
-  counter "mmdb_errors_total" "Requests answered with an error" s.s_errors;
-  counter "mmdb_timeouts_total" "Per-request timeouts" s.s_timeouts;
-  counter "mmdb_conflicts_total" "Lock-conflict / deadlock errors" s.s_conflicts;
-  counter "mmdb_protocol_errors_total" "Malformed frames or requests"
-    s.s_proto_errors;
-  counter "mmdb_slow_queries_total" "Requests over the slow-query threshold"
-    s.s_slow;
-  counter "mmdb_shed_total" "Requests dropped at the overload watermark"
-    s.s_shed;
-  counter "mmdb_quota_killed_total" "Requests killed by a per-query quota"
-    s.s_quota;
-  counter "mmdb_write_timeouts_total"
-    "Sessions cut for not draining their replies" s.s_write_timeouts;
-  counter "mmdb_connections_accepted_total" "Connections admitted" s.s_accepted;
-  counter "mmdb_connections_rejected_total" "Admission-gate refusals"
-    s.s_rejected;
-  counter "mmdb_connections_closed_total" "Sessions torn down" s.s_closed;
-  counter "mmdb_connections_reaped_total" "Sessions closed by the idle reaper"
-    s.s_reaped;
-  counter "mmdb_stmt_cache_hits_total" "Statement-cache hits" s.s_cache_hits;
-  counter "mmdb_stmt_cache_misses_total" "Statement-cache misses"
-    s.s_cache_misses;
-  counter "mmdb_read_jobs_total" "Jobs dispatched on the parallel-reader path"
-    s.s_ro_jobs;
-  counter "mmdb_captured_statements_total"
-    "Statements appended to the workload capture file" s.s_captured;
-  counter "mmdb_capture_rotation_failed_total"
-    "Capture-file rotations that failed (file kept growing, no loss)"
-    (Capture.rotation_failed ());
-  (* gauges *)
-  gauge "mmdb_uptime_seconds" "Seconds since server start" s.s_uptime;
-  gauge "mmdb_active_connections" "Currently live sessions"
-    (float_of_int active);
-  gauge "mmdb_executor_readers" "Parallel read-job slots"
-    (float_of_int readers);
-  gauge "mmdb_domains" "Domains in the execution pool" (float_of_int domains);
-  (* windowed gauges from the ring buffers *)
-  header "mmdb_qps" "gauge" "Requests per second over the trailing window";
-  sample ~labels:[ ("window", "60s") ] "mmdb_qps" s.s_qps_60s;
-  header "mmdb_error_rate" "gauge" "Errors per second over the trailing window";
-  sample ~labels:[ ("window", "60s") ] "mmdb_error_rate" s.s_err_60s;
-  header "mmdb_shed_rate" "gauge"
-    "Shed requests per second over the trailing window";
-  sample ~labels:[ ("window", "60s") ] "mmdb_shed_rate" s.s_shed_60s;
-  (* per-kind request counts and latency quantiles, as labelled series *)
-  let kinds = kind_rows t in
-  header "mmdb_kind_requests_total" "counter" "Requests per statement kind";
+  let prev = ref "" in
   List.iter
-    (fun (kind, n, _, _, _) ->
-      sample ~labels:[ ("kind", kind) ] "mmdb_kind_requests_total"
-        (float_of_int n))
-    kinds;
-  header "mmdb_kind_latency_seconds" "gauge"
-    "Per-statement-kind latency quantiles since boot";
-  List.iter
-    (fun (kind, _, p50, p99, _) ->
-      Option.iter
-        (fun v ->
-          sample
-            ~labels:[ ("kind", kind); ("quantile", "0.5") ]
-            "mmdb_kind_latency_seconds" v)
-        p50;
-      Option.iter
-        (fun v ->
-          sample
-            ~labels:[ ("kind", kind); ("quantile", "0.99") ]
-            "mmdb_kind_latency_seconds" v)
-        p99)
-    kinds;
-  (* the same quantiles over the trailing window, from the per-kind rings *)
-  let windowed =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun kind ring acc ->
-            let h = Timeseries.merged ring ~window:60.0 in
-            (kind, Histogram.percentile h 50.0, Histogram.percentile h 99.0)
-            :: acc)
-          t.ts_by_kind []
-        |> List.sort compare)
-  in
-  header "mmdb_kind_latency_seconds_windowed" "gauge"
-    "Per-statement-kind latency quantiles over the trailing window";
-  List.iter
-    (fun (kind, p50, p99) ->
-      Option.iter
-        (fun v ->
-          sample
-            ~labels:[ ("kind", kind); ("quantile", "0.5"); ("window", "60s") ]
-            "mmdb_kind_latency_seconds_windowed" v)
-        p50;
-      Option.iter
-        (fun v ->
-          sample
-            ~labels:[ ("kind", kind); ("quantile", "0.99"); ("window", "60s") ]
-            "mmdb_kind_latency_seconds_windowed" v)
-        p99)
-    windowed;
-  (* MVCC and batch figures: monotonic engine-level counters *)
-  (let v = Mmdb_storage.Version_store.stats () in
-   gauge "mmdb_mvcc_enabled" "1 when the MVCC read path is on"
-     (if v.st_enabled then 1.0 else 0.0);
-   counter "mmdb_mvcc_snapshots_total" "Statement snapshots taken"
-     v.st_snapshots_taken;
-   gauge "mmdb_mvcc_live_snapshots" "Currently live snapshots"
-     (float_of_int v.st_live_snapshots);
-   counter "mmdb_mvcc_gc_runs_total" "Version-store GC passes" v.st_gc_runs;
-   counter "mmdb_mvcc_versions_created_total" "Tuple versions created"
-     v.st_versions_created;
-   counter "mmdb_mvcc_versions_reclaimed_total" "Tuple versions reclaimed"
-     v.st_versions_reclaimed);
-  (let bt = Mmdb_storage.Batch.stats () in
-   let _, reversals = Mmdb_core.Join.skew_stats () in
-   gauge "mmdb_batch_enabled" "1 when batches carry more than one tuple"
-     (if bt.st_enabled then 1.0 else 0.0);
-   counter "mmdb_batches_total" "Batches formed" bt.st_batches;
-   counter "mmdb_batch_rows_total" "Rows carried in batches" bt.st_rows;
-   counter "mmdb_join_role_reversals_total"
-     "Skew-triggered build/probe role reversals in the partitioned join"
-     reversals);
-  (* planner and index advisor *)
-  gauge "mmdb_cost_based_enabled" "1 when the cost-based planner is active"
-    (if Mmdb_core.Optimizer.cost_based () then 1.0 else 0.0);
-  (let a = Mmdb_core.Advisor.stats () in
-   counter "mmdb_advisor_runs_total" "Index-advisor passes executed" a.adv_runs;
-   counter "mmdb_advisor_indices_created_total"
-     "Secondary indices the advisor has created" a.adv_created;
-   counter "mmdb_advisor_indices_dropped_total"
-     "Advisor-created indices dropped as stale" a.adv_dropped;
-   gauge "mmdb_advisor_active_indices" "Advisor-owned indices currently live"
-     (float_of_int (List.length a.adv_active)));
-  (* cardinality feedback *)
-  gauge "mmdb_feedback_shapes" "Distinct plan shapes in the feedback store"
-    (float_of_int (Mmdb_core.Feedback.size ()));
-  counter "mmdb_feedback_observations_total"
-    "Operator executions recorded in the feedback store"
-    (Mmdb_core.Feedback.total_observations ());
-  header "mmdb_feedback_worst_err" "gauge"
-    "Worst symmetric misestimation ratio per plan shape (top offenders)";
-  List.iter
-    (fun (e : Mmdb_core.Feedback.entry) ->
-      sample
-        ~labels:[ ("key", e.fb_key) ]
-        "mmdb_feedback_worst_err" e.fb_worst_err)
-    (Mmdb_core.Feedback.worst ~limit:8 ());
-  (* the full request-latency histogram, cumulative per the format *)
-  header "mmdb_request_latency_seconds" "histogram"
-    "Request latency since boot";
-  let buckets, total_count, total_sum =
-    locked t (fun () ->
-        ( Histogram.buckets t.latencies,
-          Histogram.count t.latencies,
-          Histogram.sum t.latencies ))
-  in
-  let cum = ref 0 in
-  List.iter
-    (fun (ub, n) ->
-      if n > 0 then begin
-        cum := !cum + n;
-        sample
-          ~labels:[ ("le", Printf.sprintf "%g" ub) ]
-          "mmdb_request_latency_seconds_bucket" (float_of_int !cum)
-      end)
-    buckets;
-  sample
-    ~labels:[ ("le", "+Inf") ]
-    "mmdb_request_latency_seconds_bucket" (float_of_int total_count);
-  sample "mmdb_request_latency_seconds_sum" total_sum;
-  sample "mmdb_request_latency_seconds_count" (float_of_int total_count);
+    (fun f ->
+      if f.name <> !prev then
+        Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n" f.name f.help f.name
+          f.typ;
+      prev := f.name;
+      List.iter
+        (fun (l, x) ->
+          let labels = List.combine f.labels l @ f.const in
+          match x with
+          | Int n -> sample f.name labels (float_of_int n)
+          | Float x -> sample f.name labels x
+          | Bool b -> sample f.name labels (if b then 1.0 else 0.0)
+          | Secs s -> Option.iter (sample f.name labels) s
+          | Info s -> sample f.name (labels @ [ (f.key, s) ]) 1.0
+          | Hist h ->
+              let cum = ref 0 and n = float_of_int (Histogram.count h) in
+              List.iter
+                (fun (ub, k) ->
+                  cum := !cum + k;
+                  sample (f.name ^ "_bucket")
+                    (labels @ [ ("le", Printf.sprintf "%g" ub) ])
+                    (float_of_int !cum))
+                (Histogram.buckets h);
+              sample (f.name ^ "_bucket") (labels @ [ ("le", "+Inf") ]) n;
+              sample (f.name ^ "_sum") labels (Histogram.sum h);
+              sample (f.name ^ "_count") labels n)
+        (f.read v))
+    families;
   Buffer.contents b
+
+let render t ~active ~readers ~domains =
+  text (tree (read t ~active ~readers ~domains))
+
+let stats_json t ~active ~readers ~domains =
+  Json.to_string (tree (read t ~active ~readers ~domains))
+
+let prometheus t ~active ~readers ~domains =
+  exposition (read t ~active ~readers ~domains)

@@ -9,9 +9,6 @@ type t
 
 val create : unit -> t
 
-val uptime : t -> float
-(** Seconds since {!create}. *)
-
 val conn_accepted : t -> unit
 val conn_rejected : t -> unit
 val conn_closed : ?reaped:bool -> t -> unit
@@ -57,58 +54,32 @@ val record_trace : t -> Mmdb_util.Trace.span -> unit
 (** Fold a finished trace tree into the per-operator aggregates
     (exclusive time and counters per span name). *)
 
-type snapshot = {
-  s_accepted : int;
-  s_rejected : int;
-  s_closed : int;
-  s_reaped : int;
-  s_requests : int;
-  s_errors : int;
-  s_timeouts : int;
-  s_conflicts : int;
-  s_proto_errors : int;
-  s_cache_hits : int;
-  s_cache_misses : int;
-  s_ro_jobs : int;  (** jobs dispatched on the parallel-reader path *)
-  s_slow : int;  (** requests over the slow-query threshold *)
-  s_shed : int;  (** requests dropped at the overload watermark *)
-  s_quota : int;  (** requests killed by a per-query quota *)
-  s_write_timeouts : int;  (** sessions cut for not draining writes *)
-  s_captured : int;  (** statements appended to the capture file *)
-  s_uptime : float;  (** seconds since server start *)
-  s_lat_n : int;  (** latency samples recorded over the server's life *)
-  s_p50_ms : float option;
-  s_p99_ms : float option;
-  s_max_ms : float option;
-  s_qps_60s : float;  (** requests/s over the trailing 60 s window *)
-  s_err_60s : float;
-  s_shed_60s : float;
-  s_p50_60s_ms : float option;  (** windowed quantiles from the rings *)
-  s_p99_60s_ms : float option;
-}
+(** {1 Renderings}
 
-val snapshot : t -> snapshot
+    One registry of metric families defines every figure the server
+    reports: its STATS section and key, its Prometheus name, help, type
+    and labels, and how to read it.  Each rendering below reads one view
+    (the serving state copied under one lock, then the engine's
+    MVCC, batch, planner, advisor, feedback and capture figures) and
+    renders every family from it. *)
 
-val kind_rows : t -> (string * int * float option * float option * float option) list
-(** Per-kind latency rows [(kind, n, p50_s, p99_s, max_s)], sorted. *)
-
-val op_rows : t -> (string * int * float * Mmdb_util.Counters.snapshot) list
-(** Per-operator rows [(name, calls, exclusive_seconds, counters)], sorted. *)
+val family_names : (string * string * string) list
+(** Every family as [(stats_section, stats_key, prometheus_name)], in
+    rendering order.  A histogram's key is empty: its [n], [p50_ms],
+    [p99_ms] and [max_ms] fields stand in for it.  Families sharing a
+    Prometheus name (one per quantile) are adjacent. *)
 
 val render : t -> active:int -> readers:int -> domains:int -> string
-(** Human-readable summary: server (uptime / git revision / domain-pool
-    size), connections, requests, executor, latency, then per-kind and
-    per-operator breakdowns when non-empty. *)
+(** STATUS text: the STATS tree as one [section: key=value ...] line per
+    section, each table's rows on indented lines below it. *)
 
 val stats_json : t -> active:int -> readers:int -> domains:int -> string
-(** Machine-readable twin of {!render}, served by the STATS request.
-    Includes the trailing-window figures, the capture counter, and the
-    cardinality-feedback worst-misestimates table. *)
+(** STATS JSON: one object per section; labelled families become tables
+    ([by_kind] keyed by kind, [operators], [worst_misestimates] and
+    [advisor.active] lists of rows). *)
 
 val prometheus : t -> active:int -> readers:int -> domains:int -> string
 (** Prometheus text exposition (v0.0.4), served by the METRICS request:
-    [mmdb_]-prefixed counters, gauges (including trailing-window qps /
-    error-rate / per-kind quantiles from the ring buffers, and the
-    cardinality-feedback figures), and the full request-latency
-    histogram as cumulative [le] buckets.  Hand-rendered, no
-    dependencies. *)
+    [mmdb_]-prefixed families; string values as 1-valued gauges with the
+    string as a label; the request-latency histogram as cumulative [le]
+    buckets.  Hand-rendered, no dependencies. *)

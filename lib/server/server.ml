@@ -139,17 +139,13 @@ let active_sessions t =
    parallel operators fan out across (MMDB_DOMAINS). *)
 let domain_count () = Mmdb_util.Domain_pool.default_size ()
 
-let metrics_text t =
-  Metrics.render t.metrics ~active:(active_sessions t)
+let rendered render t =
+  render t.metrics ~active:(active_sessions t)
     ~readers:(Exec_queue.readers t.exec) ~domains:(domain_count ())
 
-let stats_json_text t =
-  Metrics.stats_json t.metrics ~active:(active_sessions t)
-    ~readers:(Exec_queue.readers t.exec) ~domains:(domain_count ())
-
-let prometheus_text t =
-  Metrics.prometheus t.metrics ~active:(active_sessions t)
-    ~readers:(Exec_queue.readers t.exec) ~domains:(domain_count ())
+let metrics_text = rendered Metrics.render
+let stats_json_text = rendered Metrics.stats_json
+let prometheus_text = rendered Metrics.prometheus
 
 let metrics t = t.metrics
 
@@ -574,6 +570,9 @@ let handle_request t (s : session) (req : Protocol.request) : bool =
 (* --- connection lifecycle --------------------------------------------- *)
 
 let cleanup t (s : session) =
+  (* counted before the session leaves the table, so a caller that sees
+     it gone also sees it counted *)
+  Metrics.conn_closed ~reaped:(s.Session.kick = Session.Idle_kick) t.metrics;
   Mutex.lock t.m;
   Hashtbl.remove t.sessions s.Session.sid;
   Mutex.unlock t.m;
@@ -603,7 +602,6 @@ let cleanup t (s : session) =
       try_send t s Protocol.Bye
   | Session.Crash_kick -> () (* simulated kill-9: no farewell frames *)
   | Session.Not_kicked -> ());
-  Metrics.conn_closed ~reaped:(s.Session.kick = Session.Idle_kick) t.metrics;
   Session.close_fds s
 
 let session_loop t (s : session) =

@@ -67,7 +67,7 @@ echo "$STATS_OUT" | grep -q '"by_kind"'
 echo "$STATS_OUT" | grep -q '"operators"'
 echo "$STATS_OUT" | grep -q '"revision"'
 
-# --status pretty-prints the same payload
+# --status prints the STATUS text: the same sections and keys as STATS
 "$CLIENT" --port "$PORT" --status | grep -q 'uptime_s='
 "$CLIENT" --port "$PORT" --status | grep -q 'operators:'
 
@@ -80,6 +80,6 @@ head -1 "$SLOWLOG" | grep -q '^{'
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 grep -q "final metrics" "$LOG"
-grep -q "uptime=" "$LOG"
+grep -q "uptime_s=" "$LOG"
 
 echo "server smoke test passed"

@@ -90,17 +90,6 @@ let test_prometheus_render () =
   Metrics.shed m;
   Metrics.statement_captured m;
   let text = Metrics.prometheus m ~active:3 ~readers:2 ~domains:4 in
-  List.iter
-    (fun family ->
-      Alcotest.(check bool) ("TYPE for " ^ family) true
-        (has_line ~prefix:("# TYPE " ^ family ^ " ") text);
-      Alcotest.(check bool) ("HELP for " ^ family) true
-        (has_line ~prefix:("# HELP " ^ family ^ " ") text))
-    [
-      "mmdb_requests_total"; "mmdb_errors_total"; "mmdb_shed_total";
-      "mmdb_captured_statements_total"; "mmdb_uptime_seconds";
-      "mmdb_active_connections"; "mmdb_request_latency_seconds";
-    ];
   Alcotest.(check (option (float 1e-9)))
     "request counter" (Some 3.0)
     (sample_value ~name:"mmdb_requests_total" text);
@@ -146,6 +135,356 @@ let test_prometheus_render () =
           (String.starts_with ~prefix:"# HELP " l
           || String.starts_with ~prefix:"# TYPE " l))
     (lines_of text)
+
+(* --- the registry: every family in every rendering ----------------------- *)
+
+module J = Mmdb_util.Json
+
+(* A value at a STATS path; "[]" steps into the first element of a row
+   list. *)
+let rec json_at path j =
+  match path with
+  | [] -> Some j
+  | "[]" :: rest -> (
+      match j with J.List (x :: _) -> json_at rest x | _ -> None)
+  | k :: rest -> Option.bind (J.member k j) (json_at rest)
+
+let parse_stats text =
+  match J.parse text with Ok j -> j | Error e -> Alcotest.fail e
+
+(* A fixed state: serving-counter bumps, a trace, and a
+   planner run with feedback and an advisor-created index. *)
+let populated () =
+  let open Mmdb_storage in
+  let open Mmdb_core in
+  Feedback.reset ();
+  Advisor.reset ();
+  let m = Metrics.create () in
+  Metrics.conn_accepted m;
+  Metrics.request ~kind:"select" m ~latency:0.002;
+  Metrics.request ~kind:"insert" m ~latency:0.010;
+  Metrics.request ~kind:"select" m ~latency:0.0005;
+  Metrics.error m;
+  Metrics.shed m;
+  Metrics.statement_captured m;
+  Metrics.cache_hit m;
+  Metrics.cache_hit m;
+  Metrics.cache_miss m;
+  let tr = Mmdb_util.Trace.create () in
+  Mmdb_util.Trace.run tr ~name:"query" (fun () ->
+      Mmdb_util.Trace.with_span "select" ignore);
+  Metrics.record_trace m (Option.get (Mmdb_util.Trace.root tr));
+  let db = Db.create () in
+  let schema =
+    Schema.make ~name:"Hot"
+      [ Schema.col ~ty:Schema.T_int "Id"; Schema.col ~ty:Schema.T_int "Grp" ]
+  in
+  ignore (Db.create_relation db ~schema ~primary_key:"Id");
+  for i = 1 to 500 do
+    ignore (Db.insert db ~rel:"Hot" [| Value.Int i; Value.Int (i mod 50) |])
+  done;
+  let cost = Optimizer.cost_based () in
+  Optimizer.set_cost_based true;
+  Fun.protect
+    ~finally:(fun () -> Optimizer.set_cost_based cost)
+    (fun () ->
+      for _ = 1 to 20 do
+        ignore
+          (Executor.query db Query.(from "Hot" |> where_eq "Grp" (Value.Int 7)))
+      done;
+      ignore (Advisor.run db));
+  m
+
+let test_every_family_everywhere () =
+  let m = populated () in
+  let status = Metrics.render m ~active:3 ~readers:2 ~domains:4 in
+  let stats = parse_stats (Metrics.stats_json m ~active:3 ~readers:2 ~domains:4) in
+  let prom = Metrics.prometheus m ~active:3 ~readers:2 ~domains:4 in
+  Mmdb_core.Advisor.reset ();
+  Feedback.reset ();
+  (* a section's STATUS block: its line and the indented lines below *)
+  let block section =
+    let rec from = function
+      | [] -> []
+      | l :: rest when String.starts_with ~prefix:(section ^ ":") l ->
+          let rec body = function
+            | l :: rest when String.starts_with ~prefix:" " l -> l :: body rest
+            | _ -> []
+          in
+          l :: body rest
+      | _ :: rest -> from rest
+    in
+    from (lines_of status)
+  in
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  (* a key anywhere under a STATS section, rows and tables included *)
+  let rec has_key key = function
+    | J.Obj kvs -> List.exists (fun (k, j) -> k = key || has_key key j) kvs
+    | J.List rows -> List.exists (has_key key) rows
+    | _ -> false
+  in
+  Alcotest.(check bool) "registry is not empty" true (Metrics.family_names <> []);
+  List.iter
+    (fun (section, key, name) ->
+      let key = if key = "" then "n" else key in
+      let what = Printf.sprintf "%s.%s (%s)" section key name in
+      Alcotest.(check bool) ("STATUS carries " ^ what) true
+        (List.exists (contains ~sub:(key ^ "=")) (block section));
+      Alcotest.(check bool) ("STATS carries " ^ what) true
+        (match J.member section stats with
+        | Some j -> has_key key j
+        | None -> false);
+      Alcotest.(check bool) ("METRICS types " ^ what) true
+        (has_line ~prefix:("# TYPE " ^ name ^ " ") prom);
+      Alcotest.(check bool) ("METRICS samples " ^ what) true
+        (List.exists
+           (fun l ->
+             List.exists
+               (fun suffix ->
+                 String.starts_with ~prefix:(name ^ suffix ^ " ") l
+                 || String.starts_with ~prefix:(name ^ suffix ^ "{") l)
+               [ ""; "_count" ])
+           (lines_of prom)))
+    Metrics.family_names;
+  (* every top-level STATS section has a STATUS line *)
+  match stats with
+  | J.Obj sections ->
+      List.iter
+        (fun (section, _) ->
+          Alcotest.(check bool) ("STATUS line for " ^ section) true
+            (block section <> []))
+        sections
+  | _ -> Alcotest.fail "STATS is not an object"
+
+(* --- one reply, one snapshot ------------------------------------------- *)
+
+(* A scrape racing a stream of requests must still agree with itself:
+   the request total, the latency histogram's count and the per-kind
+   counts all come from one snapshot. *)
+let test_one_snapshot_per_reply () =
+  let m = Metrics.create () in
+  let stop = Atomic.make false in
+  let bumper =
+    Domain.spawn (fun () ->
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          incr i;
+          Metrics.request m
+            ~kind:(if !i mod 3 = 0 then "insert" else "select")
+            ~latency:1e-4
+        done)
+  in
+  let value l =
+    match String.rindex_opt l ' ' with
+    | Some i -> float_of_string (String.sub l (i + 1) (String.length l - i - 1))
+    | None -> nan
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join bumper)
+    (fun () ->
+      for scrape = 1 to 200 do
+        let text = Metrics.prometheus m ~active:0 ~readers:1 ~domains:1 in
+        let total = sample_value ~name:"mmdb_requests_total" text
+        and count = sample_value ~name:"mmdb_request_latency_seconds_count" text
+        and by_kind =
+          List.fold_left
+            (fun acc l ->
+              if String.starts_with ~prefix:"mmdb_kind_requests_total{" l then
+                acc +. value l
+              else acc)
+            0.0 (lines_of text)
+        in
+        let label = Printf.sprintf "scrape %d: " scrape in
+        Alcotest.(check (option (float 0.0)))
+          (label ^ "total = histogram count") total count;
+        Alcotest.(check (option (float 0.0)))
+          (label ^ "total = sum of per-kind counts") total (Some by_kind)
+      done)
+
+(* --- names the consumers read ------------------------------------------ *)
+
+(* Every STATS path and Prometheus sample the renderings carried before
+   the registry, pinned as literals: the bench's served workloads, the
+   client's --watch and the smoke scripts read these. *)
+let pinned_stats_paths =
+  [
+    "server.uptime_s"; "server.revision"; "server.domains"; "server.readers";
+    "connections.active"; "connections.accepted"; "connections.rejected";
+    "connections.closed"; "connections.idle_reaped"; "requests.total";
+    "requests.errors"; "requests.timeouts"; "requests.conflicts";
+    "requests.protocol_errors"; "requests.slow"; "requests.shed";
+    "requests.quota_killed"; "requests.write_timeouts"; "requests.read_jobs";
+    "requests.stmt_cache_hits"; "requests.stmt_cache_misses";
+    "requests.captured"; "requests.capture_rotation_failed"; "planner.name";
+    "planner.cost_based"; "advisor.runs"; "advisor.created";
+    "advisor.dropped"; "advisor.active"; "last_60s.qps";
+    "last_60s.errors_per_s"; "last_60s.shed_per_s"; "last_60s.p50_ms";
+    "last_60s.p99_ms"; "latency.n"; "latency.p50_ms"; "latency.p99_ms";
+    "latency.max_ms"; "mvcc.enabled"; "mvcc.commit_ts";
+    "mvcc.snapshots_taken"; "mvcc.live_snapshots"; "mvcc.oldest_snapshot_age";
+    "mvcc.gc_runs"; "mvcc.versions_created"; "mvcc.versions_reclaimed";
+    "mvcc.tuples_swept"; "mvcc.max_chain"; "batch.enabled"; "batch.size";
+    "batch.batches"; "batch.rows"; "batch.join_role_reversals";
+    "by_kind.select.n"; "by_kind.select.p50_ms"; "by_kind.select.p99_ms";
+    "by_kind.select.max_ms"; "by_kind.insert.n"; "by_kind.insert.p50_ms";
+    "by_kind.insert.p99_ms"; "by_kind.insert.max_ms";
+    "worst_misestimates.[].key"; "worst_misestimates.[].n";
+    "worst_misestimates.[].avg_est"; "worst_misestimates.[].avg_actual";
+    "worst_misestimates.[].worst_err"; "worst_misestimates.[].last_est";
+    "worst_misestimates.[].last_actual"; "operators.[].operator";
+    "operators.[].calls"; "operators.[].time_ms"; "operators.[].comparisons";
+    "operators.[].data_moves"; "operators.[].hash_calls";
+    "operators.[].ptr_derefs";
+  ]
+
+(* (family, type, label names of its samples) *)
+let pinned_families =
+  [
+    ("mmdb_requests_total", "counter", []);
+    ("mmdb_errors_total", "counter", []);
+    ("mmdb_timeouts_total", "counter", []);
+    ("mmdb_conflicts_total", "counter", []);
+    ("mmdb_protocol_errors_total", "counter", []);
+    ("mmdb_slow_queries_total", "counter", []);
+    ("mmdb_shed_total", "counter", []);
+    ("mmdb_quota_killed_total", "counter", []);
+    ("mmdb_write_timeouts_total", "counter", []);
+    ("mmdb_connections_accepted_total", "counter", []);
+    ("mmdb_connections_rejected_total", "counter", []);
+    ("mmdb_connections_closed_total", "counter", []);
+    ("mmdb_connections_reaped_total", "counter", []);
+    ("mmdb_stmt_cache_hits_total", "counter", []);
+    ("mmdb_stmt_cache_misses_total", "counter", []);
+    ("mmdb_read_jobs_total", "counter", []);
+    ("mmdb_captured_statements_total", "counter", []);
+    ("mmdb_capture_rotation_failed_total", "counter", []);
+    ("mmdb_uptime_seconds", "gauge", []);
+    ("mmdb_active_connections", "gauge", []);
+    ("mmdb_executor_readers", "gauge", []);
+    ("mmdb_domains", "gauge", []);
+    ("mmdb_qps", "gauge", [ "window" ]);
+    ("mmdb_error_rate", "gauge", [ "window" ]);
+    ("mmdb_shed_rate", "gauge", [ "window" ]);
+    ("mmdb_kind_requests_total", "counter", [ "kind" ]);
+    ("mmdb_kind_latency_seconds", "gauge", [ "kind"; "quantile" ]);
+    ( "mmdb_kind_latency_seconds_windowed", "gauge",
+      [ "kind"; "quantile"; "window" ] );
+    ("mmdb_mvcc_enabled", "gauge", []);
+    ("mmdb_mvcc_snapshots_total", "counter", []);
+    ("mmdb_mvcc_live_snapshots", "gauge", []);
+    ("mmdb_mvcc_gc_runs_total", "counter", []);
+    ("mmdb_mvcc_versions_created_total", "counter", []);
+    ("mmdb_mvcc_versions_reclaimed_total", "counter", []);
+    ("mmdb_batch_enabled", "gauge", []);
+    ("mmdb_batches_total", "counter", []);
+    ("mmdb_batch_rows_total", "counter", []);
+    ("mmdb_join_role_reversals_total", "counter", []);
+    ("mmdb_cost_based_enabled", "gauge", []);
+    ("mmdb_advisor_runs_total", "counter", []);
+    ("mmdb_advisor_indices_created_total", "counter", []);
+    ("mmdb_advisor_indices_dropped_total", "counter", []);
+    ("mmdb_advisor_active_indices", "gauge", []);
+    ("mmdb_feedback_shapes", "gauge", []);
+    ("mmdb_feedback_observations_total", "counter", []);
+    ("mmdb_feedback_worst_err", "gauge", [ "key" ]);
+    ("mmdb_request_latency_seconds", "histogram", []);
+  ]
+
+let test_consumer_names_survive () =
+  let open Mmdb_util in
+  let m = populated () in
+  let mvcc = Mmdb_storage.Version_store.stats () in
+  let stats = parse_stats (Metrics.stats_json m ~active:3 ~readers:2 ~domains:4) in
+  let prom = Metrics.prometheus m ~active:3 ~readers:2 ~domains:4 in
+  Mmdb_core.Advisor.reset ();
+  Feedback.reset ();
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) ("STATS carries " ^ path) true
+        (json_at (String.split_on_char '.' path) stats <> None))
+    pinned_stats_paths;
+  let samples =
+    List.filter_map
+      (fun l ->
+        if l = "" || l.[0] = '#' then None
+        else
+          let key = String.sub l 0 (String.rindex l ' ') in
+          match String.index_opt key '{' with
+          | None -> Some (key, [])
+          | Some i ->
+              let body = String.sub key (i + 1) (String.length key - i - 2) in
+              Some
+                ( String.sub key 0 i,
+                  List.map
+                    (fun kv -> String.sub kv 0 (String.index kv '='))
+                    (String.split_on_char ',' body) ))
+      (lines_of prom)
+  in
+  List.iter
+    (fun (family, typ, labels) ->
+      Alcotest.(check bool) (Printf.sprintf "%s is a %s" family typ) true
+        (has_line ~prefix:(Printf.sprintf "# TYPE %s %s" family typ) prom);
+      let names =
+        if typ = "histogram" then
+          [ (family ^ "_bucket", [ "le" ]); (family ^ "_sum", []); (family ^ "_count", []) ]
+        else [ (family, labels) ]
+      in
+      List.iter
+        (fun (name, labels) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s{%s} sampled" name (String.concat "," labels))
+            true
+            (List.mem (name, labels) samples))
+        names)
+    pinned_families;
+  (* the figures the bench, --watch and the smoke scripts read, with the
+     values this state implies *)
+  let stat path conv =
+    Option.bind (json_at (String.split_on_char '.' path) stats) conv
+  in
+  let ms samples p =
+    let h = Histogram.create () in
+    List.iter (Histogram.add h) samples;
+    Option.map (fun s -> s *. 1000.0) (Histogram.percentile h p)
+  in
+  let approx = Alcotest.(option (float 1e-6)) in
+  Alcotest.(check (option int)) "requests.stmt_cache_hits" (Some 2)
+    (stat "requests.stmt_cache_hits" J.to_int_opt);
+  Alcotest.(check (option int)) "requests.stmt_cache_misses" (Some 1)
+    (stat "requests.stmt_cache_misses" J.to_int_opt);
+  Alcotest.(check (option int)) "mvcc.versions_reclaimed"
+    (Some mvcc.Mmdb_storage.Version_store.st_versions_reclaimed)
+    (stat "mvcc.versions_reclaimed" J.to_int_opt);
+  Alcotest.(check (option int)) "mvcc.max_chain"
+    (Some mvcc.Mmdb_storage.Version_store.st_max_chain)
+    (stat "mvcc.max_chain" J.to_int_opt);
+  Alcotest.(check (option int)) "by_kind.select.n" (Some 2)
+    (stat "by_kind.select.n" J.to_int_opt);
+  Alcotest.check approx "by_kind.select.p50_ms" (ms [ 0.002; 0.0005 ] 50.0)
+    (stat "by_kind.select.p50_ms" J.to_float_opt);
+  Alcotest.check approx "by_kind.select.p99_ms" (ms [ 0.002; 0.0005 ] 99.0)
+    (stat "by_kind.select.p99_ms" J.to_float_opt);
+  Alcotest.(check (option int)) "by_kind.insert.n" (Some 1)
+    (stat "by_kind.insert.n" J.to_int_opt);
+  let sample name = sample_value ~name prom in
+  Alcotest.check approx "latency sum" (Some 0.0125)
+    (sample "mmdb_request_latency_seconds_sum");
+  Alcotest.check approx "latency count" (Some 3.0)
+    (sample "mmdb_request_latency_seconds_count");
+  Alcotest.check approx "qps" (Some (3.0 /. 60.0))
+    (sample {|mmdb_qps{window="60s"}|});
+  Alcotest.check approx "error rate" (Some (1.0 /. 60.0))
+    (sample {|mmdb_error_rate{window="60s"}|});
+  Alcotest.check approx "shed rate" (Some (1.0 /. 60.0))
+    (sample {|mmdb_shed_rate{window="60s"}|});
+  Alcotest.check approx "active connections" (Some 3.0)
+    (sample "mmdb_active_connections")
 
 (* --- capture: normalization, parameters, rotation ----------------------- *)
 
@@ -436,6 +775,15 @@ let () =
         ] );
       ( "prometheus",
         [ Alcotest.test_case "exposition renders" `Quick test_prometheus_render ] );
+      ( "registry",
+        [
+          Alcotest.test_case "every family in every rendering" `Quick
+            test_every_family_everywhere;
+          Alcotest.test_case "one snapshot per reply" `Quick
+            test_one_snapshot_per_reply;
+          Alcotest.test_case "consumer names survive" `Quick
+            test_consumer_names_survive;
+        ] );
       ( "capture",
         [
           Alcotest.test_case "normalize_sql" `Quick test_normalize_sql;

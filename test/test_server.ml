@@ -338,6 +338,16 @@ let with_server ?(config = test_config) f =
   let srv = Server.start ~config db in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
 
+(* A serving counter as STATS reports it. *)
+let stat srv section key =
+  let module J = Mmdb_util.Json in
+  match J.parse (Server.stats_json_text srv) with
+  | Ok j ->
+      Option.bind (J.member section j) (J.member key)
+      |> Fun.flip Option.bind J.to_int_opt
+      |> Option.value ~default:(-1)
+  | Error e -> Alcotest.fail e
+
 let connect srv =
   match
     Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) ()
@@ -645,8 +655,7 @@ let test_e2e_idle_reap () =
       | Error m -> Alcotest.fail m);
       Alcotest.(check bool) "idle session reaped" true
         (wait_until (fun () -> Server.active_sessions srv = 0));
-      let s = Metrics.snapshot (Server.metrics srv) in
-      Alcotest.(check int) "reap counted" 1 s.Metrics.s_reaped;
+      Alcotest.(check int) "reap counted" 1 (stat srv "connections" "idle_reaped");
       Client.close c)
 
 (* --- read-path classification: EXPLAIN and prepared SELECTs ------------- *)
@@ -659,7 +668,7 @@ let test_e2e_read_path_classification () =
       let c = connect srv in
       ignore (expect_ok c "CREATE TABLE KV (K int PRIMARY KEY, V int);");
       ignore (expect_ok c "INSERT INTO KV VALUES (1, 10);");
-      let ro_before = (Metrics.snapshot (Server.metrics srv)).Metrics.s_ro_jobs in
+      let ro_before = stat srv "requests" "read_jobs" in
       ignore (expect_ok c "EXPLAIN SELECT V FROM KV WHERE K = 1;");
       ignore (expect_ok c "EXPLAIN ANALYZE SELECT V FROM KV WHERE K = 1;");
       let id, _ =
@@ -671,7 +680,7 @@ let test_e2e_read_path_classification () =
       | Ok (Protocol.Results _) -> ()
       | Ok r -> Alcotest.fail (Fmt.str "unexpected: %a" Protocol.pp_response r)
       | Error m -> Alcotest.fail m);
-      let ro_after = (Metrics.snapshot (Server.metrics srv)).Metrics.s_ro_jobs in
+      let ro_after = stat srv "requests" "read_jobs" in
       Alcotest.(check int) "EXPLAIN, EXPLAIN ANALYZE, EXEC_PREPARED all Read"
         (ro_before + 3) ro_after;
       (* a mutating prepared statement must not take the Read path *)
@@ -684,7 +693,7 @@ let test_e2e_read_path_classification () =
       | Ok (Protocol.Results _ | Protocol.Message _) -> ()
       | Ok r -> Alcotest.fail (Fmt.str "unexpected: %a" Protocol.pp_response r)
       | Error m -> Alcotest.fail m);
-      let ro_final = (Metrics.snapshot (Server.metrics srv)).Metrics.s_ro_jobs in
+      let ro_final = stat srv "requests" "read_jobs" in
       Alcotest.(check int) "prepared UPDATE stays off the Read path"
         ro_after ro_final)
 
@@ -945,9 +954,8 @@ let test_e2e_overload_shed () =
       Thread.join t_stall;
       Thread.join t_write;
       Thread.join t_queued;
-      let snap = Metrics.snapshot (Server.metrics srv) in
       Alcotest.(check bool) "shed requests counted" true
-        (snap.Metrics.s_shed >= 2);
+        (stat srv "requests" "shed" >= 2);
       (* writes are never shed: the barrier write went through *)
       let rows = rows_of (expect_ok setup "SELECT K, V FROM KV;") in
       Alcotest.(check int) "write survived the overload" 2 (List.length rows);
@@ -975,9 +983,8 @@ let test_e2e_quota_result_rows () =
       (* the session survives, and under-quota queries still work *)
       let rows = rows_of (expect_ok c "SELECT K FROM KV WHERE K = 4;") in
       Alcotest.(check int) "under-quota query fine" 1 (List.length rows);
-      let snap = Metrics.snapshot (Server.metrics srv) in
       Alcotest.(check bool) "quota kills counted" true
-        (snap.Metrics.s_quota >= 1);
+        (stat srv "requests" "quota_killed" >= 1);
       ignore (Client.quit c))
 
 let test_e2e_quota_tuple_budget () =
@@ -1035,8 +1042,7 @@ let test_e2e_write_deadline_cuts_slow_reader () =
          session instead of pinning the handler forever *)
       Alcotest.(check bool) "write timeout fired" true
         (wait_until ~timeout:10.0 (fun () ->
-             let snap = Metrics.snapshot (Server.metrics srv) in
-             snap.Metrics.s_write_timeouts >= 1));
+             stat srv "requests" "write_timeouts" >= 1));
       Alcotest.(check bool) "victim session torn down" true
         (wait_until (fun () -> Server.active_sessions srv <= 1));
       (* the healthy session felt nothing *)

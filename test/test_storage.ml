@@ -574,7 +574,32 @@ let test_temp_list_growth_gc () =
           buf.(i) <- [| tuple |]
         done;
         Temp_list.append_many tl buf 400
-      done)
+      done);
+  (* Partition slot growth, fed fresh tuples as a load is: it may take
+     the collections that storing them into a preallocated array takes,
+     plus two.  Filling the 512-slot growth with the added tuple forced
+     one per partition. *)
+  let fresh i = Tuple.make [| Value.Int i |] in
+  let plain = Array.make n tuple in
+  let baseline =
+    minors (fun () ->
+        for i = 0 to n - 1 do
+          plain.(i) <- fresh i
+        done)
+  in
+  let p = ref (Partition.create ~pid:0 ()) in
+  let m =
+    minors (fun () ->
+        for i = 0 to n - 1 do
+          if Partition.is_full !p then p := Partition.create ~pid:i ();
+          ignore (Partition.add !p (fresh i))
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "partition: %d minor collections, preallocated array %d"
+       m baseline)
+    true
+    (m <= baseline + 2)
 
 let test_forwarding_stress () =
   (* many heap-overflow moves: tuples stay reachable through every index

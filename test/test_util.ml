@@ -350,7 +350,60 @@ let test_pool_no_forced_minor () =
   in
   Domain_pool.stop pool;
   Alcotest.(check bool) "sorted" true (Qsort.is_sorted ~cmp:compare a);
-  Alcotest.(check int) "sort_parallel: minor collections" 0 m
+  Alcotest.(check int) "sort_parallel: minor collections" 0 m;
+  (* Operators fed fresh tuples and entries.  With minor heaps too large
+     for them to fill, every minor collection counted was forced: the
+     hash join's partition growth filled with the routed tuple, and
+     projection built its entry and key-pair arrays around an entry or a
+     fresh pair, forcing one each. *)
+  let open Mmdb_storage in
+  let open Mmdb_core in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 1 lsl 22 };
+  let pool = Domain_pool.create ~size:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain_pool.stop pool;
+      Gc.set gc)
+    (fun () ->
+      (* The end of a major cycle also empties the minor heaps, so the
+         fewest of three runs counts; a forced collection shows in all. *)
+      let forced name setup f =
+        let run () =
+          Gc.full_major ();
+          let x = setup () in
+          let m0 = (Gc.quick_stat ()).Gc.minor_collections in
+          ignore (Sys.opaque_identity (f x));
+          (Gc.quick_stat ()).Gc.minor_collections - m0
+        in
+        Alcotest.(check int)
+          (name ^ ": minor collections")
+          0
+          (List.fold_left min max_int [ run (); run (); run () ])
+      in
+      let load name =
+        Workload.load ~with_ttree:false ~name
+          (Array.init 3000 (fun i -> i mod 700))
+      in
+      let side name = { Join.rel = load name; col = Workload.jcol } in
+      forced "hash join"
+        (fun () -> (side "R", side "S"))
+        (fun (outer, inner) -> Join.hash_join ~outer ~inner ());
+      List.iter
+        (fun (name, pool, method_) ->
+          forced name
+            (fun () -> Temp_list.of_relation (load "R"))
+            (fun tl ->
+              let label =
+                List.nth (Descriptor.labels (Temp_list.descriptor tl))
+                  Workload.jcol
+              in
+              Project.run ?pool method_ tl [ label ]))
+        [
+          ("sort scan", None, Project.Sort_scan);
+          ("sort scan, pool", Some pool, Project.Sort_scan);
+          ("hashing, pool", Some pool, Project.Hashing);
+        ])
 
 (* --- Lru ----------------------------------------------------------------- *)
 
