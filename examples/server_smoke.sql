@@ -18,5 +18,9 @@ COMMIT;
 BEGIN;
 DELETE FROM Employee WHERE Id = 77;
 ROLLBACK;
+-- outside BEGIN ... COMMIT each statement is its own transaction
+UPDATE Employee SET Age = 23 WHERE Id = 22;
+INSERT INTO Employee VALUES ('Temp', 90, 40, 459);
+DELETE FROM Employee WHERE Id = 90;
 SELECT Name, Age FROM Employee WHERE Age BETWEEN 20 AND 30;
 SHOW TABLES;

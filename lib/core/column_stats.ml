@@ -131,7 +131,6 @@ let invalidate rel =
     cache
 
 let reset () = locked @@ fun () -> Hashtbl.reset cache
-let cache_size () = locked @@ fun () -> Hashtbl.length cache
 
 (* --- estimators ---------------------------------------------------------- *)
 

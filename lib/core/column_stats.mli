@@ -37,4 +37,3 @@ val invalidate : Mmdb_storage.Relation.t -> unit
 (** Drop cached statistics for one relation (bulk load, tests). *)
 
 val reset : unit -> unit
-val cache_size : unit -> int

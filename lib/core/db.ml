@@ -38,8 +38,6 @@ let relations t =
       Hashtbl.fold (fun _ r acc -> r :: acc) t.rels [])
   |> List.sort (fun a b -> String.compare (Relation.name a) (Relation.name b))
 
-let relation_names t = List.map Relation.name (relations t)
-
 (* Convenience constructor: create, register, and return a relation with a
    unique T Tree primary index on the named column. *)
 let create_relation ?slot_capacity ?heap_capacity ?expected t ~schema
@@ -136,14 +134,16 @@ let unlink t ~rel tuple ~col ~target_key =
         Some (List.filter (fun u -> Tuple.id u <> Tuple.id target) current)
       else None)
 
+let resolve_row t ~rel values =
+  match find t rel with
+  | None -> Error (Printf.sprintf "unknown relation %s" rel)
+  | Some r ->
+      let schema = Relation.schema r in
+      if Array.length values <> Schema.arity schema then
+        Error
+          (Printf.sprintf "%s: expected %d fields, got %d" rel
+             (Schema.arity schema) (Array.length values))
+      else resolve_foreign_keys t schema values
+
 let insert t ~rel values =
-  let r = find_exn t rel in
-  let schema = Relation.schema r in
-  if Array.length values <> Schema.arity schema then
-    Error
-      (Printf.sprintf "%s: expected %d fields, got %d" rel (Schema.arity schema)
-         (Array.length values))
-  else
-    match resolve_foreign_keys t schema values with
-    | Error _ as e -> e
-    | Ok resolved -> Relation.insert r resolved
+  Result.bind (resolve_row t ~rel values) (Relation.insert (find_exn t rel))

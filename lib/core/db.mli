@@ -17,7 +17,6 @@ val add : t -> Relation.t -> (unit, string) result
 val find : t -> string -> Relation.t option
 val find_exn : t -> string -> Relation.t
 val relations : t -> Relation.t list
-val relation_names : t -> string list
 
 val create_relation :
   ?slot_capacity:int ->
@@ -36,8 +35,12 @@ val resolve_foreign_keys :
     are already pointers (or [Null]) pass through.  Fails on a dangling
     key or a missing target relation. *)
 
+val resolve_row :
+  t -> rel:string -> Value.t array -> (Value.t array, string) result
+(** Arity check and foreign-key substitution of a row for [rel]. *)
+
 val insert : t -> rel:string -> Value.t array -> (Tuple.t, string) result
-(** Arity check, foreign-key substitution, then [Relation.insert]. *)
+(** {!resolve_row}, then [Relation.insert]. *)
 
 (** {1 One-to-many pointer lists}
 

@@ -136,15 +136,11 @@ type part = {
   mutable plen : int;
 }
 
-(* The fill of grown tuple arrays, made once: [Array.make] runs a minor
-   collection first when its fill value is in the minor heap, as a
-   freshly inserted tuple is.  Slots at [plen] and past are never read. *)
-let no_tuple = Tuple.probe [||]
-
 let part_push p k t =
   if p.plen = Array.length p.pkeys then begin
     let cap = max 64 (2 * p.plen) in
-    let keys = Array.make cap Value.Null and tups = Array.make cap no_tuple in
+    let keys = Array.make cap Value.Null in
+    let tups = Array.make cap Tuple.filler in
     Array.blit p.pkeys 0 keys 0 p.plen;
     Array.blit p.ptups 0 tups 0 p.plen;
     p.pkeys <- keys;
@@ -389,7 +385,7 @@ let merge_arrays ~key1 ~key2 arr1 arr2 ~emit =
 
 (* The fill of the pair arrays, made once: [Array.make] runs a minor
    collection first when its fill value is in the minor heap. *)
-let no_pair = (Value.Null, no_tuple)
+let no_pair = (Value.Null, Tuple.filler)
 
 (* Sort Merge: build array indexes on both join columns, quicksort them
    (§3.3.2) and merge.  Build cost is always charged.  Both sides are

@@ -164,7 +164,7 @@ let scan_seq rel ~predicates out =
     | rest -> (None, (fun _ -> true), rest)
   in
   let size = Batch.size () in
-  let keep = Array.make size (Tuple.probe [||]) in
+  let keep = Array.make size Tuple.filler in
   (* Monomorphic kernels for the hot shapes: a lone int [Eq]/[Between]
      head runs an unboxed comparison loop over the contiguous key slice
      instead of a closure call + polymorphic compare per tuple. *)

@@ -115,9 +115,3 @@ let validate t =
   if !ok = Ok () && t.count > Array.length t.data then
     ok := Error "count exceeds capacity";
   !ok
-
-(* Bulk construction used by Sort Merge join: take ownership of unsorted
-   pointers and sort them with the paper's quicksort. *)
-let of_array_unsorted ?(duplicates = true) ~cmp ~cutoff data =
-  Qsort.sort ~cutoff ~cmp data;
-  { cmp; duplicates; data; count = Array.length data }

@@ -7,14 +7,3 @@
     join (§3.3.2). *)
 
 include Index_intf.S
-
-val of_array_unsorted :
-  ?duplicates:bool ->
-  cmp:('a -> 'a -> int) ->
-  cutoff:int ->
-  'a array ->
-  'a t
-(** [of_array_unsorted ~cmp ~cutoff data] takes ownership of [data] and
-    sorts it in place with the paper's quicksort ([cutoff] is the
-    insertion-sort threshold), producing a ready index in one step — the
-    bulk build used by Sort Merge. *)

@@ -20,11 +20,6 @@ let ordered =
 
 let hashed = List.filter (fun (Pack (module I)) -> I.kind = Hash) all
 
-let dynamic =
-  (* Structures with acceptable update behaviour (everything but the
-     read-only array, per Table 1). *)
-  List.filter (fun (Pack (module I)) -> I.name <> Array_index.name) all
-
 (* Structures outside the paper's eight, kept out of [all] so the paper's
    sweeps stay faithful: the B+ Tree exists to re-measure footnote 3. *)
 let extras : packed list = [ Pack (module Btree_plus) ]

@@ -12,10 +12,6 @@ val ordered : Index_intf.packed list
 val hashed : Index_intf.packed list
 (** The hash-based structures. *)
 
-val dynamic : Index_intf.packed list
-(** Structures with acceptable update behaviour — everything except the
-    read-only array index (Table 1). *)
-
 val extras : Index_intf.packed list
 (** Structures beyond the paper's eight (currently the B+ Tree, kept for
     the footnote-3 ablation); excluded from [all] so the paper's sweeps

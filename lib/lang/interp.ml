@@ -10,9 +10,10 @@ type outcome =
   | Plan_text of string
 
 (* A shell session: the catalog plus a transaction manager sharing its
-   relations.  DML inside BEGIN ... COMMIT is deferred through the §2.4
-   transaction machinery (so ROLLBACK needs no undo); outside a
-   transaction each statement auto-commits by applying directly. *)
+   relations.  Every write is a §2.4 transaction: DML inside BEGIN ...
+   COMMIT is deferred to COMMIT (so ROLLBACK needs no undo), and outside
+   one each INSERT, UPDATE or DELETE runs as a one-statement transaction
+   that commits at once. *)
 type session = {
   db : Db.t;
   mgr : Mmdb_txn.Txn.manager;
@@ -270,82 +271,34 @@ let predicates_for ~table schema where_ =
   in
   preds [] where_
 
-(* Collect matching tuples through an index, then remove them. *)
-let run_delete db ~table ~where_ =
-  match Db.find db table with
-  | None -> Error (Printf.sprintf "unknown relation %s" table)
-  | Some rel ->
-      let* predicates = predicates_for ~table (Relation.schema rel) where_ in
-      let victims = ref [] in
-      Temp_list.iter (Select.select rel predicates) (fun entry ->
-          victims := entry.(0) :: !victims);
-      let n = List.length !victims in
-      List.iter (fun t -> ignore (Relation.delete_tuple rel t)) !victims;
-      if n > 0 then Advisor.note_write ~n ~rel:table ();
-      Ok (Message (Printf.sprintf "%d tuples deleted from %s" n table))
+(* DML declares its operations on a transaction, which applies them at
+   COMMIT: targets are found against committed state, and each
+   declaration takes its §2.4 locks.  Each returns the rows declared. *)
+let declare_each targets declare =
+  let rec go = function
+    | [] -> Ok (List.length targets)
+    | x :: rest -> (
+        match declare x with
+        | Ok () -> go rest
+        | Error f -> Error (txn_failure f))
+  in
+  go targets
 
-let run_update db ~table ~assignments ~where_ =
-  match Db.find db table with
-  | None -> Error (Printf.sprintf "unknown relation %s" table)
-  | Some rel ->
-      let schema = Relation.schema rel in
-      let rec resolve_assignments acc = function
-        | [] -> Ok (List.rev acc)
-        | (name, lit) :: rest -> (
-            let* name = unqualify ~rel:table name in
-            match Schema.column_index schema name with
-            | Some i -> resolve_assignments ((i, value_of_literal lit) :: acc) rest
-            | None -> Error (Printf.sprintf "unknown column %s" name))
-      in
-      let* assignments = resolve_assignments [] assignments in
-      let* predicates = predicates_for ~table schema where_ in
-      let targets = ref [] in
-      Temp_list.iter (Select.select rel predicates) (fun entry ->
-          targets := entry.(0) :: !targets);
-      (* Apply all assignments to each target, stopping at the first error
-         (e.g. a uniqueness violation, which update_field rolls back). *)
-      let rec apply_all = function
-        | [] -> Ok ()
-        | tuple :: rest ->
-            let rec fields = function
-              | [] -> Ok ()
-              | (col, v) :: more -> (
-                  match Relation.update_field rel tuple col v with
-                  | Ok () -> fields more
-                  | Error _ as e -> e)
-            in
-            let* () = fields assignments in
-            apply_all rest
-      in
-      let n = List.length !targets in
-      let* () = apply_all !targets in
-      if n > 0 then Advisor.note_write ~n ~rel:table ();
-      Ok (Message (Printf.sprintf "%d tuples updated in %s" n table))
+let matching rel ~table where_ =
+  let* predicates = predicates_for ~table (Relation.schema rel) where_ in
+  let acc = ref [] in
+  Temp_list.iter (Select.select rel predicates) (fun entry ->
+      acc := entry.(0) :: !acc);
+  Ok !acc
 
-(* Transactional DML: targets are found against committed state and the
-   operations are declared on the transaction, applying at COMMIT. *)
 let run_txn_delete t db ~table ~where_ =
   match Db.find db table with
   | None -> Error (Printf.sprintf "unknown relation %s" table)
   | Some rel ->
-      let* predicates = predicates_for ~table (Relation.schema rel) where_ in
-      let victims = ref [] in
-      Temp_list.iter (Select.select rel predicates) (fun entry ->
-          victims := entry.(0) :: !victims);
-      let rec declare = function
-        | [] ->
-            let n = List.length !victims in
-            if n > 0 then Advisor.note_write ~n ~rel:table ();
-            Ok (Message (Printf.sprintf "%d deletes queued in %s" n table))
-        | tuple :: rest -> (
-            match Mmdb_txn.Txn.delete t ~rel:table tuple with
-            | Ok () -> declare rest
-            | Error f -> Error (txn_failure f))
-      in
-      declare !victims
+      let* victims = matching rel ~table where_ in
+      declare_each victims (Mmdb_txn.Txn.delete t ~rel:table)
 
-let run_txn_update mgr t db ~table ~assignments ~where_ =
-  ignore mgr;
+let run_txn_update t db ~table ~assignments ~where_ =
   match Db.find db table with
   | None -> Error (Printf.sprintf "unknown relation %s" table)
   | Some rel ->
@@ -360,28 +313,42 @@ let run_txn_update mgr t db ~table ~assignments ~where_ =
             | None -> Error (Printf.sprintf "unknown column %s" name))
       in
       let* assignments = resolve_assignments [] assignments in
-      let* predicates = predicates_for ~table schema where_ in
-      let targets = ref [] in
-      Temp_list.iter (Select.select rel predicates) (fun entry ->
-          targets := entry.(0) :: !targets);
-      let rec declare = function
-        | [] ->
-            let n = List.length !targets in
-            if n > 0 then Advisor.note_write ~n ~rel:table ();
-            Ok (Message (Printf.sprintf "%d updates queued in %s" n table))
-        | tuple :: rest -> (
-            let rec fields = function
-              | [] -> Ok ()
-              | (col, v) :: more -> (
-                  match Mmdb_txn.Txn.update t ~rel:table tuple ~col v with
-                  | Ok () -> fields more
-                  | Error f -> Error (txn_failure f))
-            in
-            match fields assignments with
-            | Ok () -> declare rest
-            | Error _ as e -> e)
-      in
-      declare !targets
+      let* targets = matching rel ~table where_ in
+      declare_each targets (fun tuple ->
+          List.fold_left
+            (fun acc (col, v) ->
+              Result.bind acc (fun () ->
+                  Mmdb_txn.Txn.update t ~rel:table tuple ~col v))
+            (Ok ()) assignments)
+
+(* Foreign keys resolve against committed state now; the insert itself
+   applies at COMMIT. *)
+let run_txn_insert t db ~table values =
+  let values = Array.of_list (List.map value_of_literal values) in
+  let* resolved = Db.resolve_row db ~rel:table values in
+  declare_each [ resolved ] (Mmdb_txn.Txn.insert t ~rel:table)
+
+(* Run a DML statement's declarations on the session's open transaction,
+   or, outside BEGIN ... COMMIT, as a one-statement transaction that
+   commits at once: a declaration that fails (a lock conflict, say)
+   aborts it, and a failed apply unwinds the whole statement. *)
+let run_dml sess ~table declare ~queued ~applied =
+  let note n = if n > 0 then Advisor.note_write ~n ~rel:table () in
+  match sess.current with
+  | Some t ->
+      let* n = declare t in
+      note n;
+      Ok (Message (queued n))
+  | None -> (
+      let t = Mmdb_txn.Txn.begin_txn sess.mgr in
+      match declare t with
+      | Error msg ->
+          Mmdb_txn.Txn.abort t;
+          Error msg
+      | Ok n ->
+          let* () = Mmdb_txn.Txn.commit t in
+          note n;
+          Ok (Message (applied n)))
 
 (* --- EXPLAIN ANALYZE --------------------------------------------------- *)
 
@@ -482,7 +449,7 @@ let explain_analyze db q agg =
       Ok (Table (analyze_table tr ~total ~total_s))
   | exception Invalid_argument msg -> Error msg
 
-let exec_unscoped sess stmt =
+let exec sess stmt =
   let db = sess.db in
   if Ast.param_count stmt > 0 then
     Error
@@ -562,41 +529,21 @@ let exec_unscoped sess stmt =
           with
           | Ok () -> Ok (Message (Printf.sprintf "index %s created" idx_name))
           | Error msg -> Error msg))
-  | Ast.Insert { table; values } -> (
-      let values = Array.of_list (List.map value_of_literal values) in
-      match sess.current with
-      | None -> (
-          match Db.insert db ~rel:table values with
-          | Ok _ ->
-              Advisor.note_write ~rel:table ();
-              Ok (Message "1 tuple inserted")
-          | Error msg -> Error msg)
-      | Some t -> (
-          (* resolve foreign keys against committed state now; the insert
-             itself is deferred to COMMIT *)
-          match Db.find db table with
-          | None -> Error (Printf.sprintf "unknown relation %s" table)
-          | Some rel -> (
-              let schema = Relation.schema rel in
-              if Array.length values <> Schema.arity schema then
-                Error
-                  (Printf.sprintf "%s: expected %d fields, got %d" table
-                     (Schema.arity schema) (Array.length values))
-              else
-                let* resolved = Db.resolve_foreign_keys db schema values in
-                match Mmdb_txn.Txn.insert t ~rel:table resolved with
-                | Ok () ->
-                    Advisor.note_write ~rel:table ();
-                    Ok (Message "1 insert queued")
-                | Error f -> Error (txn_failure f))))
-  | Ast.Update { table; assignments; where_ } -> (
-      match sess.current with
-      | None -> run_update db ~table ~assignments ~where_
-      | Some t -> run_txn_update sess.mgr t db ~table ~assignments ~where_)
-  | Ast.Delete { table; where_ } -> (
-      match sess.current with
-      | None -> run_delete db ~table ~where_
-      | Some t -> run_txn_delete t db ~table ~where_)
+  | Ast.Insert { table; values } ->
+      run_dml sess ~table
+        (fun t -> run_txn_insert t db ~table values)
+        ~queued:(fun _ -> "1 insert queued")
+        ~applied:(fun _ -> "1 tuple inserted")
+  | Ast.Update { table; assignments; where_ } ->
+      run_dml sess ~table
+        (fun t -> run_txn_update t db ~table ~assignments ~where_)
+        ~queued:(fun n -> Printf.sprintf "%d updates queued in %s" n table)
+        ~applied:(fun n -> Printf.sprintf "%d tuples updated in %s" n table)
+  | Ast.Delete { table; where_ } ->
+      run_dml sess ~table
+        (fun t -> run_txn_delete t db ~table ~where_)
+        ~queued:(fun n -> Printf.sprintf "%d deletes queued in %s" n table)
+        ~applied:(fun n -> Printf.sprintf "%d tuples deleted from %s" n table)
   | Ast.Select s -> (
       let* q = build_query db s in
       let* agg = aggregation_of db s in
@@ -643,15 +590,6 @@ let exec_unscoped sess stmt =
               (Relation.index_defs rel)
           in
           Ok (Message (String.concat "\n" (schema_line :: idx_lines))))
-
-(* Non-read-only statements run as one deferred MVCC write scope: every
-   version their mutations push publishes atomically (with one commit
-   timestamp) at statement end, so a concurrent snapshot reader never
-   observes a statement's intermediate states.  Read-only statements skip
-   the scope — they may even run under a snapshot. *)
-let exec sess stmt =
-  if Ast.is_read_only stmt then exec_unscoped sess stmt
-  else Version_store.with_write (fun () -> exec_unscoped sess stmt)
 
 (* Parse and run a whole script; stops at the first error. *)
 let exec_string sess input =

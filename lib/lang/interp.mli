@@ -9,10 +9,13 @@ type outcome =
 
 type session
 (** A shell session: the catalog plus a transaction manager sharing its
-    relations.  DML inside [BEGIN ... COMMIT] is deferred through the §2.4
-    transaction machinery (queries inside a transaction read committed
-    state; [ROLLBACK] needs no undo).  Outside a transaction every
-    statement auto-commits. *)
+    relations.  Every write is a §2.4 transaction.  DML inside
+    [BEGIN ... COMMIT] is deferred to [COMMIT] (queries inside a
+    transaction read committed state; [ROLLBACK] needs no undo).  Outside
+    a transaction each INSERT, UPDATE or DELETE is a one-statement
+    transaction: it takes the same locks and log records, fails with
+    "would block" on another transaction's lock, and applies whole or
+    not at all. *)
 
 val session : ?mgr:Mmdb_txn.Txn.manager -> Mmdb_core.Db.t -> session
 (** Wrap a catalog; its current relations are registered with the

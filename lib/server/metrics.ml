@@ -46,9 +46,7 @@ type t = {
      the all-time histograms above answer "since boot" instead. *)
   ts_requests : Timeseries.t;
   ts_errors : Timeseries.t;
-  ts_timeouts : Timeseries.t;
   ts_shed : Timeseries.t;
-  ts_quota : Timeseries.t;
   ts_latency : Timeseries.hist;
   ts_by_kind : (string, Timeseries.hist) Hashtbl.t;
 }
@@ -85,9 +83,7 @@ let create () =
     ops = Hashtbl.create 16;
     ts_requests = Timeseries.create ();
     ts_errors = Timeseries.create ();
-    ts_timeouts = Timeseries.create ();
     ts_shed = Timeseries.create ();
-    ts_quota = Timeseries.create ();
     ts_latency = Timeseries.create_hist ();
     ts_by_kind = Hashtbl.create 8;
   }
@@ -147,10 +143,7 @@ let error t =
       t.errors <- t.errors + 1;
       Timeseries.add t.ts_errors 1.0)
 
-let timeout t =
-  locked t (fun () ->
-      t.timeouts <- t.timeouts + 1;
-      Timeseries.add t.ts_timeouts 1.0)
+let timeout t = locked t (fun () -> t.timeouts <- t.timeouts + 1)
 let conflict t = locked t (fun () -> t.conflicts <- t.conflicts + 1)
 let proto_error t = locked t (fun () -> t.proto_errors <- t.proto_errors + 1)
 let cache_hit t = locked t (fun () -> t.cache_hits <- t.cache_hits + 1)
@@ -163,10 +156,7 @@ let shed t =
       t.shed <- t.shed + 1;
       Timeseries.add t.ts_shed 1.0)
 
-let quota_killed t =
-  locked t (fun () ->
-      t.quota <- t.quota + 1;
-      Timeseries.add t.ts_quota 1.0)
+let quota_killed t = locked t (fun () -> t.quota <- t.quota + 1)
 
 let statement_captured t = locked t (fun () -> t.captured <- t.captured + 1)
 

@@ -66,16 +66,9 @@ type t = {
 let create ?size:(cap = size ()) () =
   let cap = max 1 cap in
   {
-    tuples = Array.make cap (Tuple.probe [||]);
+    tuples = Array.make cap Tuple.filler;
     keys = Array.make cap Value.Null;
     n = 0;
   }
 
-let capacity b = Array.length b.tuples
 let clear b = b.n <- 0
-let is_full b = b.n >= Array.length b.tuples
-
-let push b tuple key =
-  b.tuples.(b.n) <- tuple;
-  b.keys.(b.n) <- key;
-  b.n <- b.n + 1

@@ -42,9 +42,4 @@ type t = {
 val create : ?size:int -> unit -> t
 (** A fresh batch; [size] defaults to the configured {!size}. *)
 
-val capacity : t -> int
 val clear : t -> unit
-val is_full : t -> bool
-
-val push : t -> Tuple.t -> Value.t -> unit
-(** Append one (tuple, hot-key) pair; the caller checks {!is_full}. *)

@@ -54,12 +54,6 @@ let heap_fits t bytes = t.heap_used + bytes <= t.heap_capacity
 
 type add_result = Added | Slots_full | Heap_full
 
-(* The fill of grown slot arrays, made once: [Array.make] runs a minor
-   collection first when it builds an array of more than 256 slots around
-   a minor-heap value, as a freshly loaded tuple is.  Slots at [count] and
-   past are never read. *)
-let no_tuple = Tuple.probe [||]
-
 let add t (tuple : Tuple.t) =
   if is_full t then Slots_full
   else begin
@@ -68,7 +62,8 @@ let add t (tuple : Tuple.t) =
     else begin
       if t.count >= Array.length t.slots then begin
         let grown =
-          Array.make (max 16 (min t.slot_capacity (2 * max 8 (Array.length t.slots)))) no_tuple
+          let cap = min t.slot_capacity (2 * max 8 (Array.length t.slots)) in
+          Array.make (max 16 cap) Tuple.filler
         in
         Array.blit t.slots 0 grown 0 t.count;
         t.slots <- grown

@@ -483,7 +483,7 @@ let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
     iter t (fun tuple ->
         tuples := tuple :: !tuples;
         incr n);
-    let arr = Array.make !n (Tuple.probe [||]) in
+    let arr = Array.make !n Tuple.filler in
     List.iteri (fun i tuple -> arr.(!n - 1 - i) <- tuple) !tuples;
     if structure_is_ordered structure && !n > 1 then
       Mmdb_util.Qsort.sort ~cmp:(Tuple.compare_keyed ~columns) arr;

@@ -114,6 +114,13 @@ let probe fields : t =
 
 let is_probe (t : t) = t.Value.id < 0
 
+(* Made once, at module initialisation, so that it is promoted out of the
+   minor heap long before any fill: [Array.make] runs a minor collection
+   first when it builds an array of more than 256 slots around a
+   minor-heap value, and with pool workers alive that stops every
+   domain. *)
+let filler = probe [||]
+
 (* Comparison used by non-unique tuple indices: order by key values, then by
    tuple identity, so that each index entry is distinct and deleting a tuple
    removes exactly its own entry rather than an arbitrary key-equal one.

@@ -70,6 +70,11 @@ val probe : Value.t array -> t
 
 val is_probe : t -> bool
 
+val filler : t
+(** The fill value for tuple arrays whose unused slots are never read.
+    Filling with it never forces a minor collection, as filling a large
+    array with a freshly allocated tuple does. *)
+
 val compare_keyed : columns:int array -> t -> t -> int
 (** Key comparison with a tuple-identity tie-break, used by non-unique
     indices so each entry is distinct and deleting a tuple removes exactly

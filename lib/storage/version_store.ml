@@ -17,15 +17,16 @@
 
     Two stamping modes:
 
-    - {e deferred} (inside {!with_write}, the server's statement scope):
-      mutations push versions stamped [v_begin = max_int] — invisible —
-      and record them in a pending buffer; {!with_write} publishes at
-      statement end by stamping every pending version with one freshly
-      reserved timestamp and only then bumping the commit clock.  The
-      clock bump is the happens-before edge: a snapshot acquired at
-      [s >= ts] is guaranteed to see the stamps.  Because uncommitted
-      versions carry [v_begin = max_int], another database sharing the
-      process-global clock can never expose them early.
+    - {e deferred} (inside {!with_write}, which [Txn.commit] opens
+      around a transaction's apply): mutations push versions stamped
+      [v_begin = max_int] — invisible — and record them in a pending
+      buffer; {!with_write} publishes at scope end by stamping every
+      pending version with one freshly reserved timestamp and only then
+      bumping the commit clock.  The clock bump is the happens-before
+      edge: a snapshot acquired at [s >= ts] is guaranteed to see the
+      stamps.  Because uncommitted versions carry [v_begin = max_int],
+      another database sharing the process-global clock can never
+      expose them early.
 
     - {e immediate} (no scope: direct {!Relation} use in tests, benches
       and recovery): mutations stamp at a freshly bumped timestamp right

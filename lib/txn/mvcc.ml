@@ -4,8 +4,9 @@
     The storage module owns the mechanism — the commit clock, version
     chains, snapshot registry and per-view GC.  This module packages it
     for the layers above: statement-scoped snapshots for anything
-    [Ast.is_read_only], deferred write scopes for everything else, and
-    an epoch GC pass over a whole set of relations.
+    [Ast.is_read_only], and an epoch GC pass over a whole set of
+    relations.  Writes publish through the deferred write scope that
+    {!Txn.commit} opens.
 
     Interaction with the §2.4 lock manager: MVCC changes nothing about
     writer/writer conflicts — writers still serialize through partition
@@ -17,20 +18,11 @@
 
 open Mmdb_storage
 
-let enabled = Version_store.enabled
-let set_enabled = Version_store.set_enabled
-
 let with_snapshot = Version_store.with_snapshot
 (** Run a read-only statement under a freshly acquired snapshot.  The
     callback receives the snapshot timestamp (-1 when MVCC is off). *)
 
-let with_write = Version_store.with_write
-(** Run a mutating statement as one deferred write scope: all its
-    versions publish atomically at scope exit. *)
-
 let versions_walked = Version_store.versions_walked
-let stats = Version_store.stats
-let now = Version_store.now
 
 (* One epoch GC pass: compute the horizon once — the oldest timestamp
    any live (or future) snapshot can hold — and prune every relation's

@@ -167,8 +167,9 @@ let read_range t ~rel ?index ~lo ~hi () =
 
 let abort t =
   Log_buffer.abort t.mgr.buffer ~txn:t.id;
-  Hashtbl.replace t.mgr.intents t.id [];
-  Hashtbl.replace t.mgr.statuses t.id Aborted;
+  Hashtbl.remove t.mgr.intents t.id;
+  (* [status] reads a forgotten transaction as aborted *)
+  Hashtbl.remove t.mgr.statuses t.id;
   Lock_manager.release_all t.mgr.locks ~txn:t.id
 
 (* Inverse operations for unwinding a partially applied commit. *)
@@ -194,7 +195,12 @@ let undo mgr = function
 let commit t =
   match check_active t with
   | Error f -> Error (Fmt.str "%a" pp_failure f)
-  | Ok () -> (
+  | Ok () ->
+      (* One deferred MVCC write scope covers apply, log and publish: the
+         versions the intents push become visible under one commit
+         timestamp when it closes, so a snapshot reader never sees part of
+         a transaction, and a failed apply discards them unpublished. *)
+      Version_store.with_write @@ fun () ->
       let ops =
         List.rev (Option.value ~default:[] (Hashtbl.find_opt t.mgr.intents t.id))
       in
@@ -252,8 +258,8 @@ let commit t =
              partial apply were never published, so popping them leaves no
              trace — then physically unwind with the hooks suppressed (the
              unwind must maintain view membership but record no history). *)
-          Mmdb_storage.Version_store.rollback_pending ();
-          Mmdb_storage.Version_store.suppressed (fun () ->
+          Version_store.rollback_pending ();
+          Version_store.suppressed (fun () ->
               List.iter (undo t.mgr) applied);
           abort t;
           Error msg
@@ -270,9 +276,9 @@ let commit t =
              is durable and recovery must replay it. *)
           Fault.hit t.mgr.fault ~point:"commit.after-log";
           Hashtbl.replace t.mgr.statuses t.id Committed;
-          Hashtbl.replace t.mgr.intents t.id [];
+          Hashtbl.remove t.mgr.intents t.id;
           Lock_manager.release_all t.mgr.locks ~txn:t.id;
-          Ok ())
+          Ok ()
 
 let checkpoint_all mgr =
   (* Propagate everything, rewrite partition images wholesale, then drop

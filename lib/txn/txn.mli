@@ -67,8 +67,10 @@ val read_range :
 val commit : txn -> (unit, string) result
 (** Apply the intention list in order, logging each change to the stable
     buffer; hand the committed records to the log device; release locks.
-    Any apply failure (e.g. a uniqueness violation) unwinds every applied
-    operation and aborts the whole transaction. *)
+    Apply and log run in one MVCC write scope, so the transaction's
+    versions publish under one commit timestamp.  Any apply failure (e.g.
+    a uniqueness violation) unwinds every applied operation and aborts
+    the whole transaction. *)
 
 val abort : txn -> unit
 (** Discard intentions and log entries, release locks — no undo needed. *)

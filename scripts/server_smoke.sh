@@ -37,8 +37,12 @@ for _ in $(seq 1 100); do
 done
 "$CLIENT" --port "$PORT" --ping
 
-# a full scripted session must succeed
-"$CLIENT" --port "$PORT" examples/server_smoke.sql
+# a full scripted session must succeed, and its auto-commit statements
+# answer with the auto-commit reply texts
+SESSION_OUT="$("$CLIENT" --port "$PORT" examples/server_smoke.sql)"
+echo "$SESSION_OUT" | grep -q 'tuple inserted'
+echo "$SESSION_OUT" | grep -q 'tuples updated in'
+echo "$SESSION_OUT" | grep -q 'tuples deleted from'
 
 # a failing script must exit non-zero and stop at the first error
 if "$CLIENT" --port "$PORT" examples/server_smoke_bad.sql 2>/dev/null; then

@@ -250,6 +250,25 @@ let test_interp_update () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown column accepted"
 
+(* An auto-commit statement is applied whole or not at all: the second
+   row's primary-key collision unwinds the first row's change. *)
+let test_interp_autocommit_atomic () =
+  let sess = Interp.session (Mmdb_core.Db.create ()) in
+  (match
+     Interp.exec_string sess
+       "CREATE TABLE T (K int PRIMARY KEY, V int); INSERT INTO T VALUES (1, \
+        10); INSERT INTO T VALUES (2, 20);"
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (match Interp.exec_string sess "UPDATE T SET K = 9 WHERE V > 0;" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "pk collision accepted");
+  Alcotest.(check (list (list string)))
+    "both rows unchanged"
+    [ [ "1"; "10" ]; [ "2"; "20" ] ]
+    (List.sort compare (rows_of sess "SELECT K, V FROM T;"))
+
 let test_parse_aggregates () =
   match
     parse_one
@@ -546,6 +565,8 @@ let () =
           Alcotest.test_case "delete and error paths" `Quick
             test_interp_delete_and_errors;
           Alcotest.test_case "update" `Quick test_interp_update;
+          Alcotest.test_case "auto-commit statement is atomic" `Quick
+            test_interp_autocommit_atomic;
           Alcotest.test_case "aggregation" `Quick test_interp_aggregates;
           Alcotest.test_case "transactions (BEGIN/COMMIT/ROLLBACK)" `Quick
             test_interp_transactions;

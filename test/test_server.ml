@@ -658,6 +658,37 @@ let test_e2e_idle_reap () =
       Alcotest.(check int) "reap counted" 1 (stat srv "connections" "idle_reaped");
       Client.close c)
 
+(* An auto-commit statement is a one-statement transaction: it takes the
+   partition lock an open transaction holds, so it is refused as a
+   conflict rather than applied underneath that transaction, whose
+   commit then lands intact. *)
+let test_e2e_autocommit_conflict () =
+  with_server (fun srv ->
+      let a = connect srv and b = connect srv in
+      ignore (expect_ok a "CREATE TABLE T (K int PRIMARY KEY, V int);");
+      ignore (expect_ok a "INSERT INTO T VALUES (5, 50);");
+      ignore (expect_ok a "BEGIN;");
+      ignore (expect_ok a "UPDATE T SET V = 51 WHERE K = 5;");
+      (match Client.query b "DELETE FROM T WHERE K = 5;" with
+      | Ok (Protocol.Error (Protocol.Conflict, msg)) ->
+          Alcotest.(check string) "lock failure" "would block" msg
+      | Ok r ->
+          Alcotest.fail
+            (Fmt.str "auto-commit DELETE under a held lock: %a"
+               Protocol.pp_response r)
+      | Error m -> Alcotest.fail m);
+      Alcotest.(check bool) "the row stays" true
+        (rows_of (expect_ok b "SELECT K, V FROM T;")
+        = [ [| Value.Int 5; Value.Int 50 |] ]);
+      (match expect_ok a "COMMIT;" with
+      | Protocol.Message "committed" -> ()
+      | r -> Alcotest.fail (Fmt.str "commit: %a" Protocol.pp_response r));
+      Alcotest.(check bool) "the update applied" true
+        (rows_of (expect_ok b "SELECT K, V FROM T;")
+        = [ [| Value.Int 5; Value.Int 51 |] ]);
+      ignore (Client.quit a);
+      ignore (Client.quit b))
+
 (* --- read-path classification: EXPLAIN and prepared SELECTs ------------- *)
 
 (* EXPLAIN / EXPLAIN ANALYZE of a read-only statement and EXEC_PREPARED
@@ -1158,6 +1189,8 @@ let () =
           Alcotest.test_case "admission control" `Quick
             test_e2e_admission_busy;
           Alcotest.test_case "idle reaping" `Quick test_e2e_idle_reap;
+          Alcotest.test_case "auto-commit DML conflicts with a held lock"
+            `Quick test_e2e_autocommit_conflict;
           Alcotest.test_case "read-path classification edges" `Quick
             test_e2e_read_path_classification;
           Alcotest.test_case "observability: analyze, stats, slow log" `Quick

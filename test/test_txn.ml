@@ -598,6 +598,34 @@ let test_recovery_round_trip () =
   Alcotest.(check bool) "relation validates after recovery" true
     (Relation.validate rel = Ok ())
 
+(* Auto-commit DML outside BEGIN ... COMMIT is logged like any
+   transaction: every acknowledged change survives a crash. *)
+let test_recovery_autocommit () =
+  let sess = Mmdb_lang.Interp.session (Mmdb_core.Db.create ()) in
+  (match
+     Mmdb_lang.Interp.exec_string sess
+       "CREATE TABLE T (K int PRIMARY KEY, V int); INSERT INTO T VALUES (1, \
+        10); INSERT INTO T VALUES (2, 20); INSERT INTO T VALUES (3, 30); \
+        UPDATE T SET V = 21 WHERE K = 2; DELETE FROM T WHERE K = 3;"
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let crashed = Mmdb_lang.Interp.manager sess in
+  let state =
+    Recovery.recover ~store:(Txn.store crashed) ~device:(Txn.device crashed)
+      ~working_set:[ "T" ]
+  in
+  let rel = Option.get (Txn.relation (Recovery.manager state) "T") in
+  let v k =
+    Option.map
+      (fun t -> Tuple.get t 1)
+      (Relation.lookup_one rel [| Value.Int k |])
+  in
+  Alcotest.(check int) "tuple count after recovery" 2 (Relation.count rel);
+  Alcotest.(check bool) "insert recovered" true (v 1 = Some (Value.Int 10));
+  Alcotest.(check bool) "update recovered" true (v 2 = Some (Value.Int 21));
+  Alcotest.(check bool) "delete recovered" true (v 3 = None)
+
 let test_recovery_working_set_first () =
   (* Two relations; only one in the working set.  The manager is usable for
      the working-set relation before background loading completes. *)
@@ -1061,6 +1089,8 @@ let () =
             test_recovery_round_trip;
           Alcotest.test_case "working set first" `Quick
             test_recovery_working_set_first;
+          Alcotest.test_case "auto-commit DML survives a crash" `Quick
+            test_recovery_autocommit;
           Alcotest.test_case "foreign-key pointer fixup" `Quick
             test_recovery_foreign_key_fixup;
           Alcotest.test_case "secondary indexes survive recovery" `Quick

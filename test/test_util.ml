@@ -403,7 +403,25 @@ let test_pool_no_forced_minor () =
           ("sort scan", None, Project.Sort_scan);
           ("sort scan, pool", Some pool, Project.Sort_scan);
           ("hashing, pool", Some pool, Project.Hashing);
-        ])
+        ];
+      (* An index build sorted through an array filled with a fresh probe
+         tuple, and a scan at batch size 1024 filled its batch and its
+         survivor array with one: each fill forced one. *)
+      forced "create_index"
+        (fun () -> load "R")
+        (fun rel ->
+          Relation.create_index rel ~idx_name:"by_j"
+            ~columns:[| Workload.jcol |] ~structure:Relation.T_tree
+            ~unique:false);
+      let size = Batch.size () in
+      Batch.set_size 1024;
+      Fun.protect
+        ~finally:(fun () -> Batch.set_size size)
+        (fun () ->
+          forced "scan, batch 1024"
+            (fun () -> load "R")
+            (fun rel ->
+              Select.select rel [ Select.Eq (Workload.jcol, Value.Int 7) ])))
 
 (* --- Lru ----------------------------------------------------------------- *)
 
