@@ -119,10 +119,10 @@ module Cost = struct
 end
 
 (* Methods whose index prerequisites are met right now.  Under an MVCC
-   snapshot the tree methods are infeasible — they would walk raw index
-   handles the writer mutates concurrently ([Join.run] would remap them
-   anyway; excluding them here keeps EXPLAIN honest about the plan that
-   actually executes). *)
+   snapshot the tree methods stay infeasible: they walk raw index handles
+   outside the relation's read entries, so [Join.run] remaps them to Hash
+   Join / Sort Merge, and excluding them here keeps EXPLAIN honest about
+   the plan that actually executes. *)
 let feasible_methods ~outer ~inner =
   let snapshot = Version_store.current_snapshot () <> None in
   let outer_tree = (not snapshot) && Join.find_tree_index outer <> None in

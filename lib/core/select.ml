@@ -106,7 +106,7 @@ let scan_parallel pool rel ~keep out =
    access downstream.  Emission order is chunk order (result sets are
    unordered); MVCC-mode equivalence with the sequential path is by
    multiset. *)
-let scan_parallel_snapshot pool rel ~snapshot ~keep out =
+let scan_parallel_snapshot pool rel ~snapshot ~epoch ~keep out =
   let tuples =
     Array.of_list (Atomic.get (Relation.view rel).Version_store.tuples)
   in
@@ -120,7 +120,7 @@ let scan_parallel_snapshot pool rel ~snapshot ~keep out =
       Domain_pool.parallel_map pool
         (fun (lo, hi) ->
           let local = Temp_list.create desc in
-          Version_store.with_installed_snapshot snapshot (fun () ->
+          Version_store.with_installed_snapshot snapshot ~epoch (fun () ->
               for i = lo to hi - 1 do
                 let t = tuples.(i) in
                 if Version_store.visible_at snapshot t && keep t then
@@ -290,6 +290,7 @@ let run ?pool ?est_rows rel ~path ~predicates =
           match Version_store.current_snapshot () with
           | Some s ->
               scan_parallel_snapshot pool rel ~snapshot:s
+                ~epoch:(Version_store.current_epoch ())
                 ~keep:(fun t -> residual_ok t preds)
                 out
           | None ->

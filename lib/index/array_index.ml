@@ -28,10 +28,8 @@ let size t = t.count
 let ensure_capacity t =
   let cap = Array.length t.data in
   if t.count >= cap then begin
-    let new_cap = max 16 (2 * cap) in
-    let grown = Array.make new_cap t.data.(0) in
-    Array.blit t.data 0 grown 0 t.count;
-    t.data <- grown
+    (* doubling by copy: see [Index_intf.slots] *)
+    t.data <- Array.append t.data t.data
   end
 
 let insert t x =

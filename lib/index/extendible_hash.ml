@@ -30,9 +30,11 @@ let name = "Extendible Hash"
 let kind = Index_intf.Hash
 let default_node_size = 16
 
-let mk_bucket ?(ldepth = 0) size witness =
+(* [elems] is the bucket's storage, taken over as is; its contents are
+   stale until [count] covers them. *)
+let mk_bucket ?(ldepth = 0) elems =
   Counters.bump_node_allocs ();
-  { ldepth; elems = Array.make size witness; count = 0 }
+  { ldepth; elems; count = 0 }
 
 let create ?(node_size = default_node_size) ?(duplicates = false) ?expected:_
     ~cmp ~hash () =
@@ -75,10 +77,9 @@ let split_bucket t (b : 'a bucket) =
     (* Double the directory first. *)
     let old = t.dir in
     t.gdepth <- t.gdepth + 1;
-    t.dir <- Array.init (Array.length old * 2) (fun i -> old.(i land (Array.length old - 1)))
+    t.dir <- Array.append old old
   end;
-  let witness = b.elems.(0) in
-  let sibling = mk_bucket ~ldepth:(old_depth + 1) (Array.length b.elems) witness in
+  let sibling = mk_bucket ~ldepth:(old_depth + 1) (Array.copy b.elems) in
   t.buckets <- t.buckets + 1;
   b.ldepth <- old_depth + 1;
   let bit = 1 lsl old_depth in
@@ -106,14 +107,12 @@ let grow_bucket (b : 'a bucket) =
   (* Degenerate case: every element in the bucket shares the same hash bits
      (e.g. heavy duplicates), so splitting cannot make progress; extend the
      bucket in place instead of doubling the directory forever. *)
-  let bigger = Array.make (2 * Array.length b.elems) b.elems.(0) in
-  Array.blit b.elems 0 bigger 0 b.count;
   Counters.bump_data_moves ~n:b.count ();
-  b.elems <- bigger
+  b.elems <- Array.append b.elems b.elems
 
 let rec insert t x =
   if t.gdepth = 0 && t.buckets = 0 then begin
-    t.dir <- [| mk_bucket t.bucket_size x |];
+    t.dir <- [| mk_bucket (Index_intf.slots t.bucket_size x) |];
     t.buckets <- 1
   end;
   let h = hash_of t x in

@@ -101,6 +101,19 @@ type packed = Pack : (module S) -> packed
 (** Existential wrapper so benchmarks and tests can sweep over all
     structures uniformly. *)
 
+(* [n] slots all holding [x], built without [Array.make] around [x]:
+   past 256 words, [Array.make] first empties the minor heap — stopping
+   every domain — when [x] still lives there.  Copying ([Array.append],
+   [Array.sub]) allocates the same array without that collection.  The
+   index structures grow their arrays by copying for the same reason. *)
+let slots n x =
+  let rec grow a =
+    if Array.length a < n then grow (Array.append a a)
+    else if Array.length a = n then a
+    else Array.sub a 0 n
+  in
+  grow (Array.make (min n 256) x)
+
 (* Shared helper: binary search of [x] in the sorted segment [a.(0 ..
    count-1)].  Returns [Found i] for some matching index, or [Insert_at i]
    for the insertion point.  Bumps the comparison counter through

@@ -39,9 +39,11 @@ let name = "Linear Hash"
 let kind = Index_intf.Hash
 let default_node_size = 8
 
-let mk_bucket size witness =
+(* [elems] is the bucket's primary page, taken over as is; its contents
+   are stale until [count] covers them. *)
+let mk_bucket elems =
   Counters.bump_node_allocs ();
-  { elems = Array.make size witness; count = 0; overflow = []; ov_len = 0 }
+  { elems; count = 0; overflow = []; ov_len = 0 }
 
 let create ?(node_size = default_node_size) ?(duplicates = false) ?expected:_
     ~cmp ~hash () =
@@ -96,33 +98,11 @@ let bucket_items (b : 'a bucket) =
 (* Split the bucket at the split pointer into itself and a new bucket at
    index [nbuckets]; advance the pointer / level. *)
 let split t =
-  let witness_bucket = t.buckets.(t.next) in
-  let witness =
-    if witness_bucket.count > 0 then witness_bucket.elems.(0)
-    else
-      match witness_bucket.overflow with
-      | x :: _ -> x
-      | [] ->
-          (* Empty bucket: find any element to use as array witness. *)
-          let rec first i =
-            if i >= t.nbuckets then None
-            else if t.buckets.(i).count > 0 then Some t.buckets.(i).elems.(0)
-            else
-              match t.buckets.(i).overflow with
-              | x :: _ -> Some x
-              | [] -> first (i + 1)
-          in
-          (match first 0 with Some x -> x | None -> raise Exit)
-  in
-  (* Ensure capacity in the bucket directory. *)
-  if t.nbuckets >= Array.length t.buckets then begin
-    let grown =
-      Array.make (max 8 (2 * Array.length t.buckets)) t.buckets.(0)
-    in
-    Array.blit t.buckets 0 grown 0 t.nbuckets;
-    t.buckets <- grown
-  end;
-  let fresh = mk_bucket t.node_size witness in
+  (* Ensure capacity in the bucket directory (doubling by copy: see
+     [Index_intf.slots]). *)
+  if t.nbuckets >= Array.length t.buckets then
+    t.buckets <- Array.append t.buckets t.buckets;
+  let fresh = mk_bucket (Array.copy t.buckets.(0).elems) in
   t.buckets.(t.nbuckets) <- fresh;
   t.nbuckets <- t.nbuckets + 1;
   let old = t.buckets.(t.next) in
@@ -162,12 +142,14 @@ let contract t =
    the paper's configuration, and is what makes Linear Hashing reorganise
    constantly under a mixed workload with stable cardinality. *)
 let maybe_resize t =
-  if utilisation t > t.target_util then (try split t with Exit -> ())
+  if utilisation t > t.target_util then split t
   else if t.nbuckets > t.base && utilisation t < t.target_util then contract t
 
 let ensure_init t witness =
   if t.nbuckets = 0 then begin
-    t.buckets <- Array.init t.base (fun _ -> mk_bucket t.node_size witness);
+    t.buckets <-
+      Array.init t.base (fun _ ->
+          mk_bucket (Index_intf.slots t.node_size witness));
     t.nbuckets <- t.base
   end
 

@@ -439,6 +439,13 @@ let families =
         v.mvcc.st_tuples_swept);
     gauge ("mvcc", "max_chain") "mmdb_mvcc_max_chain"
       "Longest version chain seen" (fun v -> Int v.mvcc.st_max_chain);
+    column Keyed [ "path" ]
+      (fun v ->
+        [ ("fast", v.mvcc.st_fast_reads); ("fallback", v.mvcc.st_fallback_reads) ])
+      "counter" ("snapshot_reads", "n") "mmdb_snapshot_reads_total"
+      "Snapshot read entries that walked the live index (fast) or, after an \
+       intervening write, the membership view (fallback)"
+      (fun (path, n) -> ([ path ], Int n));
     gauge ("batch", "enabled") "mmdb_batch_enabled"
       "1 when batches carry more than one tuple" (fun v ->
         Bool v.batch.st_enabled);

@@ -570,12 +570,12 @@ let handle_request t (s : session) (req : Protocol.request) : bool =
 (* --- connection lifecycle --------------------------------------------- *)
 
 let cleanup t (s : session) =
+  (* the reaper may still kick a session while it closes: the farewell
+     follows the kick it had when it started closing *)
+  let kick = s.Session.kick in
   (* counted before the session leaves the table, so a caller that sees
      it gone also sees it counted *)
-  Metrics.conn_closed ~reaped:(s.Session.kick = Session.Idle_kick) t.metrics;
-  Mutex.lock t.m;
-  Hashtbl.remove t.sessions s.Session.sid;
-  Mutex.unlock t.m;
+  Metrics.conn_closed ~reaped:(kick = Session.Idle_kick) t.metrics;
   (* Roll back an open BEGIN block.  This job queues after anything the
      session ever submitted (including abandoned jobs), so once it
      resolves no executor job can touch this session again. *)
@@ -593,7 +593,7 @@ let cleanup t (s : session) =
      recycled. *)
   List.iter (fun p -> ignore (Exec_queue.wait p)) s.Session.orphans;
   s.Session.orphans <- [];
-  (match s.Session.kick with
+  (match kick with
   | Session.Idle_kick ->
       try_send t s (Protocol.Notice "idle timeout, closing session");
       try_send t s Protocol.Bye
@@ -602,6 +602,11 @@ let cleanup t (s : session) =
       try_send t s Protocol.Bye
   | Session.Crash_kick -> () (* simulated kill-9: no farewell frames *)
   | Session.Not_kicked -> ());
+  (* Leave the table only now: a caller that sees the session gone also
+     sees its transaction rolled back and its locks released. *)
+  Mutex.lock t.m;
+  Hashtbl.remove t.sessions s.Session.sid;
+  Mutex.unlock t.m;
   Session.close_fds s
 
 let session_loop t (s : session) =
@@ -632,10 +637,12 @@ let session_loop t (s : session) =
             loop ()
         | Ok req ->
             let started = Unix.gettimeofday () in
+            s.Session.busy <- true;
             let continue = try handle_request t s req with _ -> false in
             Metrics.request t.metrics ~kind:s.Session.last_kind
               ~latency:(Unix.gettimeofday () -. started);
             Session.touch s;
+            s.Session.busy <- false;
             if continue then loop ())
   in
   (try
@@ -721,7 +728,7 @@ let reaper_loop t =
         Hashtbl.fold
           (fun _ s acc ->
             if
-              s.Session.pending = None
+              (not s.Session.busy)
               && Session.idle_for s ~now > t.cfg.idle_timeout
               && s.Session.kick = Session.Not_kicked
             then s :: acc

@@ -1,12 +1,12 @@
 (* Per-connection session state.
 
-   Owned by the connection's handler thread; [last_activity], [pending]
+   Owned by the connection's handler thread; [last_activity], [busy]
    and [kick] are also read (racily but harmlessly) by the idle reaper,
    which only ever escalates to [Unix.shutdown] on the socket — the
    handler thread remains the one that tears the session down.
 
    ['a] is the executor's reply type (the handler parks its in-flight
-   promise in [pending] so CANCEL and the reaper can see it). *)
+   promise in [pending] so CANCEL and a simulated crash can see it). *)
 
 open Mmdb_lang
 
@@ -27,6 +27,10 @@ type 'a t = {
       (* id -> stmt, n_params, source SQL (kept for workload capture) *)
   mutable next_prepared : int;
   mutable pending : 'a Exec_queue.promise option;
+  mutable busy : bool;
+      (* a request is being handled, executor job or not (with one
+         domain an MVCC read runs inline, before [pending] is set): the
+         idle reaper spares the session *)
   mutable orphans : 'a Exec_queue.promise list;
       (* timed-out (abandoned) jobs that may still be running.  MVCC
          Read jobs bypass the executor FIFO, so the cleanup Write is no
@@ -53,6 +57,7 @@ let create ~sid ~fd =
     prepared = Hashtbl.create 8;
     next_prepared = 1;
     pending = None;
+    busy = false;
     orphans = [];
     kick = Not_kicked;
     last_kind = "other";

@@ -215,37 +215,80 @@ let probe_for t (def : index_def) key =
 
 (* --- MVCC snapshot reads ----------------------------------------------- *)
 
-(* A statement holding an MVCC snapshot must not traverse live index
-   structures: the concurrent single writer may be rebalancing them
-   mid-read.  Every read entry point therefore diverts to a
-   visibility-filtered scan of the relation's membership view, sorted by
-   the requested index's key columns — and since the comparisons go
-   through {!Tuple.get}, the sort itself reads snapshot-consistent
-   values.  This trades the index's O(log n) for O(n log n) per
-   statement; it is the price of lock-free reads, paid only under a
-   snapshot and measured honestly by bench [server]'s mvcc phase. *)
-let snapshot_tuples t s ~columns =
-  let visible =
-    List.filter (Version_store.visible_at s)
-      (Atomic.get t.view.Version_store.tuples)
-  in
-  List.sort (Tuple.compare_keyed ~columns) visible
+(* Under an MVCC snapshot [s], a read entry walks the live index only
+   when the index holds exactly the state at [s]: no write finished
+   since the epoch captured with [s], and none is in progress.
+   {!Version_store.exclusive_read} checks both and keeps writers out
+   while the traversal runs, because a writer drains in-flight
+   traversals before its first index mutation.  The traversal only
+   collects; the visibility filter and the caller's callback run after
+   writers are let back in, so no operator work ever stalls a writer.
+   When a write intervened, the entry falls back to the relation's
+   membership view: the tuples visible at [s] whose fields there [keep]
+   accepts (the key bounds, for the key-bounded entries), sorted by the
+   index's key columns — comparisons through {!Tuple.get} read
+   snapshot-consistent values.  A fallback point read is therefore O(n),
+   not O(n log n). *)
+let snapshot_tuples t s (module Inst : INSTANCE) ~traverse ~keep =
+  match
+    Version_store.exclusive_read (fun () ->
+        let acc = ref [] in
+        traverse (fun tu -> acc := tu :: !acc);
+        !acc)
+  with
+  | Some rev ->
+      List.fold_left
+        (fun acc tu -> if Version_store.visible_at s tu then tu :: acc else acc)
+        [] rev
+  | None ->
+      List.filter
+        (fun tu -> Version_store.visible_where s keep (Tuple.resolve tu))
+        (Atomic.get t.view.Version_store.tuples)
+      |> List.sort (Tuple.compare_keyed ~columns:Inst.def.columns)
 
-let snapshot_of_index t index =
-  let inst =
-    match index with None -> primary t | Some n -> find_index_exn t n
+let instance t = function None -> primary t | Some n -> find_index_exn t n
+
+(* The one read body of every entry: walk [traverse] directly without a
+   snapshot, else hand [f] the snapshot's tuples. *)
+let read t inst ~traverse ~keep f =
+  match Version_store.current_snapshot () with
+  | None -> traverse f
+  | Some s -> List.iter f (snapshot_tuples t s inst ~traverse ~keep)
+
+let all _ = true
+
+(* A fallback's key bounds, on the fields a tuple has at the snapshot:
+   [lo <= key <= hi] on [columns], either bound optional. *)
+let within ~columns ?lo ?hi fields =
+  let cmp key =
+    let rec go j =
+      if j >= Array.length columns then 0
+      else
+        let c = Value.compare fields.(columns.(j)) key.(j) in
+        if c <> 0 then c else go (j + 1)
+    in
+    go 0
   in
-  let (module Inst : INSTANCE) = inst in
-  (inst, Inst.def)
+  Option.fold ~none:true ~some:(fun k -> cmp k >= 0) lo
+  && Option.fold ~none:true ~some:(fun k -> cmp k <= 0) hi
+
+(* Range scans need an ordered index on every path, snapshot or not. *)
+let ordered (module Inst : INSTANCE) =
+  if Inst.I.kind <> Mmdb_index.Index_intf.Ordered then
+    raise
+      (Mmdb_index.Index_intf.Unsupported (Inst.I.name ^ ": no range scans"))
 
 let count t =
   match Version_store.current_snapshot () with
   | None -> t.count
-  | Some s ->
-      List.fold_left
-        (fun n tu -> if Version_store.visible_at s tu then n + 1 else n)
-        0
-        (Atomic.get t.view.Version_store.tuples)
+  | Some s -> (
+      match Version_store.exclusive_read (fun () -> t.count) with
+      | Some n -> n
+      | None ->
+          List.fold_left
+            (fun n tu -> if Version_store.visible_at s tu then n + 1 else n)
+            0
+            (Atomic.get t.view.Version_store.tuples))
 
 (* After a lazy delete the view keeps a tombstoned entry for the GC to
    sweep; once dead entries dominate, compact opportunistically (we are
@@ -258,10 +301,13 @@ let maybe_sweep t =
 
 (* --- public operations ------------------------------------------------ *)
 
+(* Every index-mutating entry holds the write mark
+   ({!Version_store.writing}) so that no snapshot read walks an index
+   mid-change. *)
 let insert t values =
   match Schema.check_tuple t.schema values with
   | Error msg -> Error msg
-  | Ok () -> (
+  | Ok () -> Version_store.writing @@ fun () -> (
       let tuple = Tuple.make (Array.copy values) in
       (* Enter the tuple into every index, unwinding on a uniqueness
          violation. *)
@@ -291,7 +337,7 @@ let insert t values =
 let delete_tuple t tuple =
   let resolved = Tuple.resolve tuple in
   if resolved.Value.pid < 0 then false
-  else begin
+  else Version_store.writing @@ fun () ->
     let p = partition_of_exn t resolved.Value.pid in
     if Partition.remove p resolved then begin
       List.iter (fun inst -> ignore (idx_delete inst tuple)) t.indices;
@@ -301,95 +347,52 @@ let delete_tuple t tuple =
       true
     end
     else false
-  end
 
 let lookup ?index t key =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let _, def = snapshot_of_index t index in
-      let probe = probe_for t def key in
-      List.filter
-        (fun tu -> Tuple.compare_keyed ~columns:def.columns probe tu = 0)
-        (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      let probe = probe_for t Inst.def key in
-      let acc = ref [] in
-      Inst.I.iter_matches Inst.handle probe (fun tu -> acc := tu :: !acc);
-      List.rev !acc
+  let (module Inst : INSTANCE) as inst = instance t index in
+  let probe = probe_for t Inst.def key in
+  let acc = ref [] in
+  read t inst
+    ~traverse:(Inst.I.iter_matches Inst.handle probe)
+    ~keep:(within ~columns:Inst.def.columns ~lo:key ~hi:key)
+    (fun tu -> acc := tu :: !acc);
+  List.rev !acc
 
 let lookup_one ?index t key =
   match lookup ?index t key with [] -> None | tu :: _ -> Some tu
 
 let lookup_range ?index t ~lo ~hi f =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let _, def = snapshot_of_index t index in
-      let plo = probe_for t def lo and phi = probe_for t def hi in
-      List.iter
-        (fun tu ->
-          if
-            Tuple.compare_keyed ~columns:def.columns plo tu <= 0
-            && Tuple.compare_keyed ~columns:def.columns tu phi <= 0
-          then f tu)
-        (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      Inst.I.range Inst.handle ~lo:(probe_for t Inst.def lo)
-        ~hi:(probe_for t Inst.def hi) f
+  let (module Inst : INSTANCE) as inst = instance t index in
+  ordered inst;
+  let plo = probe_for t Inst.def lo and phi = probe_for t Inst.def hi in
+  read t inst
+    ~traverse:(Inst.I.range Inst.handle ~lo:plo ~hi:phi)
+    ~keep:(within ~columns:Inst.def.columns ~lo ~hi)
+    f
 
 let lookup_from ?index t key f =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let _, def = snapshot_of_index t index in
-      let probe = probe_for t def key in
-      List.iter
-        (fun tu ->
-          if Tuple.compare_keyed ~columns:def.columns probe tu <= 0 then f tu)
-        (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      Inst.I.iter_from Inst.handle (probe_for t Inst.def key) f
-
-(* Scan through the primary index, honouring the all-access-via-index rule. *)
-let iter t f =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let (module P) = primary t in
-      List.iter f (snapshot_tuples t s ~columns:P.def.columns)
-  | None ->
-      let (module Inst) = primary t in
-      Inst.I.iter Inst.handle f
-
-let to_seq t =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let (module P) = primary t in
-      List.to_seq (snapshot_tuples t s ~columns:P.def.columns)
-  | None ->
-      let (module Inst) = primary t in
-      Inst.I.to_seq Inst.handle
+  let (module Inst : INSTANCE) as inst = instance t index in
+  ordered inst;
+  let probe = probe_for t Inst.def key in
+  read t inst
+    ~traverse:(Inst.I.iter_from Inst.handle probe)
+    ~keep:(within ~columns:Inst.def.columns ~lo:key)
+    f
 
 let iter_via ?index t f =
+  let (module Inst : INSTANCE) as inst = instance t index in
+  read t inst ~traverse:(Inst.I.iter Inst.handle) ~keep:all f
+
+(* Scan through the primary index, honouring the all-access-via-index rule. *)
+let iter t f = iter_via t f
+
+let to_seq t =
+  let (module Inst : INSTANCE) as inst = primary t in
   match Version_store.current_snapshot () with
+  | None -> Inst.I.to_seq Inst.handle
   | Some s ->
-      let _, def = snapshot_of_index t index in
-      List.iter f (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      Inst.I.iter Inst.handle f
+      List.to_seq
+        (snapshot_tuples t s inst ~traverse:(Inst.I.iter Inst.handle) ~keep:all)
 
 (* Batched scan production: fill fixed-size batches of tuple pointers
    with the values of [key_col] extracted into the batch's key slice.
@@ -432,13 +435,7 @@ let iter_batches ?key_col ?size t f =
           b.Batch.n <- n + 1;
           if n + 1 >= cap then flush ()
   in
-  (match Version_store.current_snapshot () with
-  | Some s ->
-      let (module P) = primary t in
-      List.iter push (snapshot_tuples t s ~columns:P.def.columns)
-  | None ->
-      let (module Inst) = primary t in
-      Inst.I.iter Inst.handle push);
+  iter t push;
   flush ()
 
 (* Direct partition access — recovery subsystem only. *)
@@ -489,7 +486,7 @@ let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
       Mmdb_util.Qsort.sort ~cmp:(Tuple.compare_keyed ~columns) arr;
     Array.iter (fun tuple -> if !ok && not (idx_insert inst tuple) then ok := false) arr;
     if !ok then begin
-      t.indices <- t.indices @ [ inst ];
+      Version_store.writing (fun () -> t.indices <- t.indices @ [ inst ]);
       Ok ()
     end
     else
@@ -506,11 +503,12 @@ let drop_index t ~idx_name =
       if find_index t idx_name = None then
         Error (Printf.sprintf "no index named %s" idx_name)
       else begin
-        t.indices <-
-          List.filter
-            (fun (module Inst : INSTANCE) ->
-              not (String.equal Inst.def.idx_name idx_name))
-            t.indices;
+        Version_store.writing (fun () ->
+            t.indices <-
+              List.filter
+                (fun (module Inst : INSTANCE) ->
+                  not (String.equal Inst.def.idx_name idx_name))
+                t.indices);
         Ok ()
       end
 
@@ -523,11 +521,10 @@ let update_field t tuple col v =
     invalid_arg "Relation.update_field: column out of range";
   if not (Schema.value_fits (Schema.column_type t.schema col) v) then
     Error "value does not fit column type"
-  else begin
+  else Version_store.writing @@ fun () ->
     let resolved = Tuple.resolve tuple in
-    (* Pre-image for the tuple's first versioned mutation, captured
-       before any field write. *)
-    let pre_fields = Version_store.capture_pre resolved in
+    (* The tuple's base version, before any field write. *)
+    Version_store.prepare_update resolved;
     let affected =
       List.filter
         (fun (module Inst : INSTANCE) -> Array.mem col Inst.def.columns)
@@ -583,7 +580,7 @@ let update_field t tuple col v =
     else
       match reenter [] affected with
       | Ok () ->
-          Version_store.on_update (Tuple.resolve tuple) ~pre_fields;
+          Version_store.on_update (Tuple.resolve tuple);
           Ok ()
       | Error msg ->
           (* Revert the field and restore entries under the old key. *)
@@ -596,7 +593,6 @@ let update_field t tuple col v =
           | _ -> ());
           List.iter (fun inst -> ignore (idx_insert inst tuple)) affected;
           Error msg
-  end
 
 let validate t =
   let exception Bad of string in

@@ -22,11 +22,11 @@
       [v_begin = max_int] — invisible — and record them in a pending
       buffer; {!with_write} publishes at scope end by stamping every
       pending version with one freshly reserved timestamp and only then
-      bumping the commit clock.  The clock bump is the happens-before
-      edge: a snapshot acquired at [s >= ts] is guaranteed to see the
-      stamps.  Because uncommitted versions carry [v_begin = max_int],
-      another database sharing the process-global clock can never
-      expose them early.
+      moving the commit clock to it ({!stamp_with}).  The clock move is
+      the happens-before edge: a snapshot acquired at [s >= ts] is
+      guaranteed to see the stamps.  Because uncommitted versions carry
+      [v_begin = max_int], another database sharing the process-global
+      clock can never expose them early.
 
     - {e immediate} (no scope: direct {!Relation} use in tests, benches
       and recovery): mutations stamp at a freshly bumped timestamp right
@@ -40,7 +40,21 @@
     scanning slots.  If the GC missed a just-registered slot [s], its
     clock read happened before the reader's successful re-validation of
     [s], and the clock is monotonic, so the GC's horizon is <= [s] —
-    it can only prune versions that snapshot could not see anyway. *)
+    it can only prune versions that snapshot could not see anyway.
+
+    Live-index reads (readers vs. the writer's index mutations): a
+    snapshot may walk a relation's live index only when that index holds
+    exactly the state at the snapshot.  Every write holds a mark in
+    {!writers} from before its first index mutation until after
+    {!publish}, then bumps {!write_epoch} and drops the mark; after
+    setting the mark it waits until no traversal counted in {!readers}
+    is in flight.  A snapshot remembers the epoch it read {e before}
+    acquiring its timestamp.  {!exclusive_read} counts itself a reader
+    and only then checks that no write is marked and the epoch is
+    unchanged.  All three are SC atomics, so either the reader sees the
+    writer's mark or the writer waits for the reader.  On success every
+    write the index reflects published before the snapshot's timestamp
+    was taken, and none can start until the traversal ends. *)
 
 let unstamped = max_int
 
@@ -64,16 +78,52 @@ let commit_ts : int Atomic.t = Atomic.make 0
 
 let now () = Atomic.get commit_ts
 
+(* Raise [clock] to at least [ts]; clocks never move backwards. *)
+let raise_to clock ts =
+  let rec go () =
+    let cur = Atomic.get clock in
+    if ts > cur && not (Atomic.compare_and_set clock cur ts) then go ()
+  in
+  go ()
+
+(* Wait until [ready ()]: spin briefly, then sleep in short naps, which
+   give the processor (and this domain's runtime lock) to the awaited
+   party when it is descheduled or is a thread of this same domain. *)
+let await ready =
+  let spins = ref 0 in
+  while not (ready ()) do
+    if !spins < 64 then begin
+      incr spins;
+      Domain.cpu_relax ()
+    end
+    else Unix.sleepf 1e-5
+  done
+
+(* Commit timestamps are reserved here, ahead of the clock snapshots
+   read: a write stamps its versions with its reserved timestamp while
+   the clock is still below it, so no snapshot can see them half
+   stamped, and only then moves the clock to it.  Reservations publish
+   in order — a write waits for the writes that reserved before it,
+   which are only stamping — and snapshots never wait. *)
+let reserved_ts : int Atomic.t = Atomic.make 0
+
+(* Reserve the next commit timestamp, run [f] (the stamping) with it,
+   then publish it. *)
+let stamp_with f =
+  let ts = 1 + Atomic.fetch_and_add reserved_ts 1 in
+  Fun.protect
+    ~finally:(fun () ->
+      await (fun () -> Atomic.get commit_ts >= ts - 1);
+      raise_to commit_ts ts)
+    (fun () -> f ts)
+
 (* Recovery replays a crashed instance's log in immediate mode and then
    raises the clock to the log's highest LSN so that post-recovery
    snapshots order after everything replayed.  Monotonic-only: the clock
    is process-global and must never move backwards. *)
 let bump_to ts =
-  let rec go () =
-    let cur = Atomic.get commit_ts in
-    if ts > cur && not (Atomic.compare_and_set commit_ts cur ts) then go ()
-  in
-  go ()
+  raise_to reserved_ts ts;
+  raise_to commit_ts ts
 
 (* --- observability counters -------------------------------------------- *)
 
@@ -91,6 +141,31 @@ let versions_walked_key : int ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref 0)
 
 let versions_walked () = !(Domain.DLS.get versions_walked_key)
+
+(* Snapshot read entries that walked the live index, and those that fell
+   back to the membership view because a write intervened. *)
+let fast_reads = Atomic.make 0
+let fallback_reads = Atomic.make 0
+
+(* --- write epoch and reader drain --------------------------------------- *)
+
+(* See the live-index safety argument in the header. *)
+let write_epoch : int Atomic.t = Atomic.make 0
+let writers : int Atomic.t = Atomic.make 0
+let readers : int Atomic.t = Atomic.make 0
+
+(* Hold the write mark around [f]: no live-index traversal overlaps it,
+   and snapshots taken before it ends stop trusting the live index.  The
+   in-flight traversals it waits out only collect tuples and never wait
+   on a writer. *)
+let marked f =
+  Atomic.incr writers;
+  await (fun () -> Atomic.get readers = 0);
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.incr write_epoch;
+      Atomic.decr writers)
+    f
 
 (* --- snapshot registry ------------------------------------------------- *)
 
@@ -153,33 +228,61 @@ let current_key : int option Domain.DLS.key =
 
 let current_snapshot () = Domain.DLS.get current_key
 
-(* Install an already-acquired snapshot timestamp in this domain's DLS
-   without taking a registry slot, run [f], restore.  For pool workers
-   executing one chunk of a coordinator's batched parallel scan: the
-   coordinator acquired [s] and holds its registry slot for the whole
-   parallel section (it awaits every worker future before releasing),
-   so the GC horizon cannot pass [s] while a worker runs under it. *)
-let with_installed_snapshot s f =
-  let outer = Domain.DLS.get current_key in
+(* The write epoch read just before the active snapshot was acquired. *)
+let epoch_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
+
+let current_epoch () = Domain.DLS.get epoch_key
+
+(* Install an already-acquired snapshot timestamp and its epoch in this
+   domain's DLS without taking a registry slot, run [f], restore.  For
+   pool workers executing one chunk of a coordinator's batched parallel
+   scan: the coordinator acquired [s] and holds its registry slot for
+   the whole parallel section (it awaits every worker future before
+   releasing), so the GC horizon cannot pass [s] while a worker runs
+   under it. *)
+let with_installed_snapshot s ~epoch f =
+  let outer = Domain.DLS.get current_key
+  and outer_epoch = Domain.DLS.get epoch_key in
   Domain.DLS.set current_key (Some s);
+  Domain.DLS.set epoch_key epoch;
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set current_key outer)
+    ~finally:(fun () ->
+      Domain.DLS.set current_key outer;
+      Domain.DLS.set epoch_key outer_epoch)
     f
 
 (* Run [f] under a freshly acquired snapshot (or plainly when MVCC is
-   off).  [f] receives the snapshot timestamp (-1 when off). *)
+   off).  [f] receives the snapshot timestamp (-1 when off).  The epoch
+   is read before the slot is acquired: a write that publishes in
+   between then makes live-index reads fall back, never the reverse. *)
 let with_snapshot f =
   if not (enabled ()) then f (-1)
   else begin
+    let epoch = Atomic.get write_epoch in
     let slot, s = acquire_slot () in
-    let outer = Domain.DLS.get current_key in
-    Domain.DLS.set current_key (Some s);
     Domain.DLS.get versions_walked_key := 0;
     Fun.protect
-      ~finally:(fun () ->
-        Domain.DLS.set current_key outer;
-        release_slot slot)
-      (fun () -> f s)
+      ~finally:(fun () -> release_slot slot)
+      (fun () -> with_installed_snapshot s ~epoch (fun () -> f s))
+  end
+
+(* Run [traverse] over live index structures if they hold exactly the
+   state at this domain's snapshot, keeping writers out until it
+   returns; [None] when a write finished since the snapshot's epoch or is
+   in progress.  [traverse] must only collect: it runs while every writer
+   waits, so it may neither write nor run a caller's callback. *)
+let exclusive_read traverse =
+  Atomic.incr readers;
+  if Atomic.get writers = 0 && Atomic.get write_epoch = current_epoch ()
+  then begin
+    let r = Fun.protect ~finally:(fun () -> Atomic.decr readers) traverse in
+    Atomic.incr fast_reads;
+    Some r
+  end
+  else begin
+    Atomic.decr readers;
+    Atomic.incr fallback_reads;
+    None
   end
 
 (* --- write-side hooks --------------------------------------------------- *)
@@ -259,9 +362,9 @@ let tombstone () = { Value.v_fields = [||]; v_begin = unstamped; v_end = 0 }
 
 let live_fields (t : Value.tuple) = Array.copy t.Value.fields
 
-(* Immediate mode bumps the clock once per operation so that an already
-   registered snapshot orders strictly before the change. *)
-let immediate_ts () = 1 + Atomic.fetch_and_add commit_ts 1
+(* Immediate mode stamps at a timestamp of its own per operation
+   ({!stamp_with}) so that an already registered snapshot orders strictly
+   before the change. *)
 
 let in_scope () = Domain.DLS.get scope_key <> None
 
@@ -286,46 +389,39 @@ let on_insert view (t : Value.tuple) =
              are already live cannot race single-threaded immediate
              writers (unsupported without a scope). *)
           if live_snapshots () > 0 then
-            push_version t (fresh_version (live_fields t) ~v_begin:(immediate_ts ()));
+            stamp_with (fun ts ->
+                push_version t (fresh_version (live_fields t) ~v_begin:ts));
           view_add view t
 
-(* [pre_fields] is the field array as it was before the mutation (from
-   {!capture_pre}); only needed when this is the tuple's first versioned
-   mutation. *)
-let on_update (t : Value.tuple) ~pre_fields =
+(* Called after the live fields changed; {!prepare_update} ran before. *)
+let on_update (t : Value.tuple) =
   if enabled () && not (Domain.DLS.get suppress_key) then
     match Domain.DLS.get scope_key with
-    | Some scope ->
-        (match pre_fields with
-        | Some pre -> ensure_base t ~pre_fields:pre
-        | None -> ());
-        (match t.Value.vers.Value.vs with
+    | Some scope -> (
+        match t.Value.vers.Value.vs with
         | superseded :: _ ->
             let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
             push_version t pushed;
             scope.ops <- P_update { t; pushed; superseded } :: scope.ops
         | [] ->
-            (* unreachable with a captured pre-image; fall back to a
-               bare current version *)
+            (* unreachable after {!prepare_update}; fall back to a bare
+               current version *)
             let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
             push_version t pushed;
             scope.ops <-
               P_update { t; pushed; superseded = pushed } :: scope.ops)
     | None ->
-        if live_snapshots () > 0 then begin
-          (match pre_fields with
-          | Some pre -> ensure_base t ~pre_fields:pre
-          | None -> ());
-          let ts = immediate_ts () in
-          (match t.Value.vers.Value.vs with
-          | head :: _ -> head.Value.v_end <- ts
-          | [] -> ());
-          push_version t (fresh_version (live_fields t) ~v_begin:ts)
-        end
+        if live_snapshots () > 0 then
+          stamp_with (fun ts ->
+              (match t.Value.vers.Value.vs with
+              | head :: _ -> head.Value.v_end <- ts
+              | [] -> ());
+              push_version t (fresh_version (live_fields t) ~v_begin:ts))
         else if t.Value.vers.Value.vs <> [] then
           (* no live snapshot can need history: collapse to one version *)
-          t.Value.vers.Value.vs <-
-            [ fresh_version (live_fields t) ~v_begin:(immediate_ts ()) ]
+          stamp_with (fun ts ->
+              t.Value.vers.Value.vs <-
+                [ fresh_version (live_fields t) ~v_begin:ts ])
 
 let on_delete view (t : Value.tuple) =
   if enabled () then
@@ -340,26 +436,27 @@ let on_delete view (t : Value.tuple) =
       | None ->
           if live_snapshots () > 0 then begin
             ensure_base t ~pre_fields:(live_fields t);
-            let ts = immediate_ts () in
-            match t.Value.vers.Value.vs with
-            | head :: _ -> head.Value.v_end <- ts
-            | [] -> ()
+            stamp_with (fun ts ->
+                match t.Value.vers.Value.vs with
+                | head :: _ -> head.Value.v_end <- ts
+                | [] -> ())
           end
           else
             (* lazy: tombstone now (O(1)), swept from the view by GC *)
             t.Value.vers.Value.vs <- [ tombstone () ]
 
-(* Capture the pre-image for {!on_update} — needed only for a tuple's
-   first versioned mutation, so the lock-only path (and lazy immediate
-   mode) never pays the copy. *)
-let capture_pre (t : Value.tuple) =
+(* Called before an update changes the live fields: a tuple's first
+   versioned mutation gets its base version — the unchanged fields —
+   now, since a snapshot reads an empty chain through the live fields,
+   which are about to hold uncommitted values.  The lock-only path (and
+   lazy immediate mode) never pays the copy. *)
+let prepare_update (t : Value.tuple) =
   if
     enabled ()
     && (not (Domain.DLS.get suppress_key))
     && t.Value.vers.Value.vs = []
     && (in_scope () || live_snapshots () > 0)
-  then Some (live_fields t)
-  else None
+  then ensure_base t ~pre_fields:(live_fields t)
 
 (* --- deferred publication ---------------------------------------------- *)
 
@@ -370,7 +467,7 @@ let publish scope =
   match scope.ops with
   | [] -> ()
   | ops ->
-      let ts = 1 + Atomic.fetch_and_add commit_ts 1 in
+      stamp_with @@ fun ts ->
       List.iter
         (fun op ->
           match op with
@@ -413,18 +510,25 @@ let rollback scope =
   scope.ops <- []
 
 (* Run [f] as one deferred write scope: its mutations stamp atomically
-   at scope exit.  No-op wrapper when MVCC is off. *)
+   at scope exit.  The scope holds the write mark from its start until
+   after {!publish}: between two operations of one scope the index
+   already lacks what a live snapshot still sees.  With MVCC off the
+   hooks record nothing, so only the mark remains. *)
 let with_write f =
-  if not (enabled ()) || in_scope () then f ()
-  else begin
-    let scope = { ops = [] } in
-    Domain.DLS.set scope_key (Some scope);
-    Fun.protect
-      ~finally:(fun () ->
-        Domain.DLS.set scope_key None;
-        publish scope)
-      f
-  end
+  if in_scope () then f ()
+  else
+    marked (fun () ->
+        let scope = { ops = [] } in
+        Domain.DLS.set scope_key (Some scope);
+        Fun.protect
+          ~finally:(fun () ->
+            Domain.DLS.set scope_key None;
+            publish scope)
+          f)
+
+(* Hold the write mark around one index-mutating operation, unless the
+   enclosing write scope already holds it. *)
+let writing f = if in_scope () then f () else marked f
 
 (* Roll back the current scope's intents (called by [Txn] before it
    physically unwinds a failed commit). *)
@@ -489,6 +593,16 @@ let visible_at s (t : Value.tuple) =
       match version_at t s with
       | Some v -> v.Value.v_end > s
       | None -> false (* inserted after the snapshot *))
+
+(* Whether [t] (resolved) is visible at [s] with fields that satisfy
+   [keep]: a view scan's filter, in one walk of the chain. *)
+let visible_where s keep (t : Value.tuple) =
+  match t.Value.vers.Value.vs with
+  | [] -> keep t.Value.fields
+  | _ -> (
+      match version_at t s with
+      | Some v -> v.Value.v_end > s && keep v.Value.v_fields
+      | None -> false)
 
 (* --- garbage collection ------------------------------------------------- *)
 
@@ -567,6 +681,8 @@ type stats = {
   st_versions_reclaimed : int;
   st_tuples_swept : int;
   st_max_chain : int;
+  st_fast_reads : int;
+  st_fallback_reads : int;
 }
 
 let stats () =
@@ -583,4 +699,6 @@ let stats () =
     st_versions_reclaimed = Atomic.get versions_reclaimed;
     st_tuples_swept = Atomic.get tuples_swept;
     st_max_chain = Atomic.get max_chain;
+    st_fast_reads = Atomic.get fast_reads;
+    st_fallback_reads = Atomic.get fallback_reads;
   }

@@ -73,7 +73,7 @@ let worker_loop t =
   in
   loop ()
 
-let create ?size () =
+let create ?(on_start = ignore) ?size () =
   let size = match size with Some s -> max 1 s | None -> default_size () in
   let t =
     {
@@ -86,7 +86,10 @@ let create ?size () =
     }
   in
   if size > 1 then
-    t.workers <- Array.init size (fun _ -> Domain.spawn (fun () -> worker_loop t));
+    t.workers <- Array.init size (fun _ ->
+        Domain.spawn (fun () ->
+            on_start ();
+            worker_loop t));
   t
 
 let resolve fut outcome =

@@ -25,9 +25,10 @@ val default_size : unit -> int
     (clamped to [1, 16]).  [MMDB_DOMAINS=1] forces the sequential
     fallback everywhere. *)
 
-val create : ?size:int -> unit -> t
+val create : ?on_start:(unit -> unit) -> ?size:int -> unit -> t
 (** [create ?size ()] spawns [size] worker domains ([default_size]
-    when omitted).  [size <= 1] spawns none. *)
+    when omitted).  [size <= 1] spawns none.  Each worker runs
+    [on_start] (default: nothing) before its first task. *)
 
 val size : t -> int
 (** Configured parallelism (1 = sequential fallback). *)

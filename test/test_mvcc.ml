@@ -226,6 +226,250 @@ let test_gc_respects_snapshots () =
   Alcotest.(check bool) "GC reclaimed something across the run" true
     (st.Version_store.st_versions_reclaimed > 0)
 
+(* --- commit timestamps publish after their stamps ------------------------ *)
+
+(* A write stamps its versions with a reserved timestamp while the clock
+   is still below it, so a snapshot can never land on a timestamp whose
+   stamps are half written; a later reservation publishes only after the
+   earlier one. *)
+let test_stamps_before_clock () =
+  let before = Version_store.now () in
+  let stamping = Atomic.make false and release = Atomic.make false in
+  let first =
+    Domain.spawn (fun () ->
+        Version_store.stamp_with (fun ts ->
+            Atomic.set stamping true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done;
+            ts))
+  in
+  while not (Atomic.get stamping) do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check int) "the clock stays below a timestamp being stamped"
+    before (Version_store.now ());
+  let second = Domain.spawn (fun () -> Version_store.stamp_with Fun.id) in
+  Unix.sleepf 0.02;
+  Alcotest.(check int) "a later reservation waits for the earlier one"
+    before (Version_store.now ());
+  Atomic.set release true;
+  let t1 = Domain.join first and t2 = Domain.join second in
+  Alcotest.(check (list int)) "timestamps in reservation order"
+    [ before + 1; before + 2 ] [ t1; t2 ];
+  Alcotest.(check int) "both published" (before + 2) (Version_store.now ())
+
+(* --- live-index reads vs a churning writer (torture) ---------------------- *)
+
+(* A writer domain commits small insert/delete/update transactions on a
+   relation with a T-tree primary, a B-tree on V and an extendible hash
+   on W — keys churn, so the trees rebalance and the hash grows — and
+   runs the GC every 64 commits.  Reader domains meanwhile run every read
+   entry under a snapshot and compare it with what the snapshot must
+   see, built here from the membership view: the tuples visible at [s]
+   inside the entry's key bounds, sorted by its key.  Reads that walk the
+   live index and reads that fall back must both show up, and a watchdog
+   turns a traversal or a drain that never ends into a failure. *)
+
+let key_space = 2048
+
+let mk_kvw () =
+  let schema =
+    Schema.make ~name:"KVW"
+      [
+        Schema.col ~ty:Schema.T_int "K";
+        Schema.col ~ty:Schema.T_int "V";
+        Schema.col ~ty:Schema.T_int "W";
+      ]
+  in
+  let r =
+    Relation.create ~schema
+      ~primary:
+        {
+          Relation.idx_name = "pk";
+          columns = [| 0 |];
+          unique = true;
+          structure = Relation.T_tree;
+        }
+      ()
+  in
+  let index idx_name col structure =
+    match Relation.create_index r ~idx_name ~columns:[| col |] ~structure with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  index "by_v" 1 Relation.B_tree;
+  index "by_w" 2 Relation.Extendible_hash;
+  r
+
+let random_row rng k =
+  [| Value.Int k; Value.Int (Rng.int rng 200); Value.Int (Rng.int rng 4096) |]
+
+let torture_writer rng r ~commits =
+  for c = 1 to commits do
+    Version_store.with_write (fun () ->
+        for _ = 0 to Rng.int rng 4 do
+          let k = Rng.int rng key_space in
+          match Relation.lookup r [| Value.Int k |] with
+          | [] -> ignore (Relation.insert r (random_row rng k))
+          | tu :: _ -> (
+              match Rng.int rng 4 with
+              | 0 ->
+                  ignore (Relation.update_field r tu 1 (Value.Int (Rng.int rng 200)))
+              | 1 ->
+                  ignore
+                    (Relation.update_field r tu 2 (Value.Int (Rng.int rng 4096)))
+              | _ -> ignore (Relation.delete_tuple r tu))
+        done);
+    if c mod 64 = 0 then begin
+      ignore (Mvcc.gc [ r ]);
+      (* a quiet moment, so snapshots also find the live index current *)
+      Unix.sleepf 0.0005
+    end
+  done
+
+(* One read entry under snapshot [s], checked against the view. *)
+let torture_read rng r s =
+  let row tu = (Tuple.id tu, Tuple.get tu 0, Tuple.get tu 1, Tuple.get tu 2) in
+  let expect ~col ~keep =
+    List.filter
+      (fun tu -> Version_store.visible_at s tu && keep (Tuple.get tu col))
+      (Atomic.get (Relation.view r).Version_store.tuples)
+    |> List.sort (Tuple.compare_keyed ~columns:[| col |])
+  in
+  let collect run =
+    let acc = ref [] in
+    run (fun tu -> acc := tu :: !acc);
+    List.rev !acc
+  in
+  let int bound = Value.Int (Rng.int rng bound) in
+  let all _ = true in
+  let name, got, want, ordered =
+    match Rng.int rng 11 with
+    | 0 ->
+        let k = int key_space in
+        ("lookup", Relation.lookup r [| k |], expect ~col:0 ~keep:(( = ) k), true)
+    | 1 ->
+        let w = int 4096 in
+        ( "lookup (hash)",
+          Relation.lookup ~index:"by_w" r [| w |],
+          expect ~col:2 ~keep:(( = ) w),
+          false )
+    | 2 ->
+        let lo = int key_space and hi = int key_space in
+        ( "lookup_range",
+          collect (Relation.lookup_range r ~lo:[| lo |] ~hi:[| hi |]),
+          expect ~col:0 ~keep:(fun k -> lo <= k && k <= hi),
+          true )
+    | 3 ->
+        let v = Rng.int rng 200 in
+        let lo = Value.Int v and hi = Value.Int (v + 20) in
+        ( "lookup_range (B-tree)",
+          collect (Relation.lookup_range ~index:"by_v" r ~lo:[| lo |] ~hi:[| hi |]),
+          expect ~col:1 ~keep:(fun v -> lo <= v && v <= hi),
+          true )
+    | 4 ->
+        let v = int 200 in
+        ( "lookup_from",
+          collect (Relation.lookup_from ~index:"by_v" r [| v |]),
+          expect ~col:1 ~keep:(fun x -> v <= x),
+          true )
+    | 5 -> ("iter", collect (Relation.iter r), expect ~col:0 ~keep:all, true)
+    | 6 ->
+        ( "iter_via (B-tree)",
+          collect (Relation.iter_via ~index:"by_v" r),
+          expect ~col:1 ~keep:all,
+          true )
+    | 7 ->
+        ( "iter_via (hash)",
+          collect (Relation.iter_via ~index:"by_w" r),
+          expect ~col:2 ~keep:all,
+          false )
+    | 8 ->
+        ("to_seq", List.of_seq (Relation.to_seq r), expect ~col:0 ~keep:all, true)
+    | 9 ->
+        ( "iter_batches",
+          collect (fun f ->
+              Relation.iter_batches ~key_col:1 ~size:64 r (fun b ->
+                  for i = 0 to b.Batch.n - 1 do
+                    f b.Batch.tuples.(i)
+                  done)),
+          expect ~col:0 ~keep:all,
+          true )
+    | _ ->
+        let n = Relation.count r and want = expect ~col:0 ~keep:all in
+        if n <> List.length want then
+          failwith
+            (Printf.sprintf "count at snapshot %d: %d, the view has %d" s n
+               (List.length want));
+        ("count", want, want, true)
+  in
+  let rows l =
+    let l = List.map row l in
+    if ordered then l else List.sort compare l
+  in
+  if rows got <> rows want then
+    failwith
+      (Printf.sprintf "%s at snapshot %d: %d tuples, the view has %d" name s
+         (List.length got) (List.length want))
+
+let test_torture () =
+  with_mvcc @@ fun () ->
+  let st0 = Version_store.stats () in
+  for seed = 1 to n_seeds do
+    let r = mk_kvw () in
+    let rng = Rng.create ~seed:(seed * 7919) () in
+    for k = 0 to 511 do
+      ignore (Relation.insert r (random_row rng (k * 4)))
+    done;
+    let writer_done = Atomic.make false
+    and failure = Atomic.make None
+    and finished = Atomic.make 0 in
+    let guarded f () =
+      (try f () with e -> Atomic.set failure (Some (Printexc.to_string e)));
+      Atomic.incr finished
+    in
+    let writer =
+      Domain.spawn
+        (guarded (fun () ->
+             torture_writer (Rng.create ~seed ()) r ~commits:1500;
+             Atomic.set writer_done true))
+    in
+    let reader i =
+      Domain.spawn
+        (guarded (fun () ->
+             let rng = Rng.create ~seed:((seed * 100) + i) () in
+             let n = ref 0 in
+             while
+               ((not (Atomic.get writer_done)) || !n < 50)
+               && Atomic.get failure = None
+             do
+               Version_store.with_snapshot (fun s -> torture_read rng r s);
+               incr n
+             done))
+    in
+    let readers = [ reader 1; reader 2 ] in
+    let deadline = Unix.gettimeofday () +. 60.0 in
+    while Atomic.get finished < 3 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.005
+    done;
+    if Atomic.get finished < 3 then
+      Alcotest.failf "seed %d: a domain is still running after 60 s" seed;
+    Domain.join writer;
+    List.iter Domain.join readers;
+    (match Atomic.get failure with
+    | Some msg -> Alcotest.failf "seed %d: %s" seed msg
+    | None -> ());
+    match Relation.validate r with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "seed %d: relation invalid: %s" seed e
+  done;
+  let st1 = Version_store.stats () in
+  Alcotest.(check bool) "some reads walked the live index" true
+    (st1.Version_store.st_fast_reads > st0.Version_store.st_fast_reads);
+  Alcotest.(check bool) "some reads fell back to the view" true
+    (st1.Version_store.st_fallback_reads > st0.Version_store.st_fallback_reads)
+
 (* --- read-only classification edges -------------------------------------- *)
 
 let parse_one sql =
@@ -265,6 +509,10 @@ let () =
             test_abort_invisible;
           Alcotest.test_case "GC never reclaims what a snapshot sees" `Quick
             test_gc_respects_snapshots;
+          Alcotest.test_case "stamps land before the clock moves" `Quick
+            test_stamps_before_clock;
+          Alcotest.test_case "live-index reads under a churning writer" `Quick
+            test_torture;
         ] );
       ( "classification",
         [

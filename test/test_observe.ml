@@ -653,6 +653,52 @@ let connect srv =
   | Ok c -> c
   | Error m -> Alcotest.fail ("connect failed: " ^ m)
 
+(* --- snapshot read paths ------------------------------------------------- *)
+
+(* With no writer anywhere, every snapshot read entry walks the live
+   index: a served point read that silently fell back to the membership
+   view would show in the fallback count. *)
+let test_point_reads_fast_path () =
+  let config =
+    {
+      Server.default_config with
+      Server.port = 0;
+      request_timeout = 10.0;
+      idle_timeout = 0.0;
+      mvcc = true;
+    }
+  in
+  let srv = Server.start ~config (Mmdb_core.Db.create ()) in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown srv)
+    (fun () ->
+      let c = connect srv in
+      ignore (expect_ok c "CREATE TABLE KV (K int PRIMARY KEY, V int);");
+      for i = 1 to 200 do
+        ignore (expect_ok c (Printf.sprintf "INSERT INTO KV VALUES (%d, %d);" i i))
+      done;
+      let reads path =
+        match J.parse (Server.stats_json_text srv) with
+        | Ok j ->
+            Option.bind (J.member "snapshot_reads" j) (J.member path)
+            |> Fun.flip Option.bind (J.member "n")
+            |> Fun.flip Option.bind J.to_int_opt
+            |> Option.value ~default:(-1)
+        | Error e -> Alcotest.fail e
+      in
+      let fast0 = reads "fast" and fallback0 = reads "fallback" in
+      for i = 1 to 100 do
+        match expect_ok c (Printf.sprintf "SELECT V FROM KV WHERE K = %d;" i) with
+        | Protocol.Results { rows = [ [| Mmdb_storage.Value.Int v |] ]; _ } ->
+            Alcotest.(check int) "the row read" i v
+        | r -> Alcotest.failf "unexpected reply %a" Protocol.pp_response r
+      done;
+      Alcotest.(check int) "no point read fell back" 0
+        (reads "fallback" - fallback0);
+      Alcotest.(check bool) "every point read walked the live index" true
+        (reads "fast" - fast0 >= 100);
+      Client.close c)
+
 let test_capture_replay_e2e () =
   Feedback.reset ();
   let capture_path = Filename.temp_file "mmdb_e2e" ".jsonl" in
@@ -798,6 +844,11 @@ let () =
         [
           Alcotest.test_case "METRICS roundtrip" `Quick
             test_metrics_protocol_roundtrip;
+        ] );
+      ( "snapshot_reads",
+        [
+          Alcotest.test_case "point reads take the fast path" `Quick
+            test_point_reads_fast_path;
         ] );
       ( "replay",
         [

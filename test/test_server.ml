@@ -549,6 +549,42 @@ let test_e2e_kill_mid_txn () =
         5;
       ignore (Client.quit setup))
 
+(* The killed client's rollback queues behind a write stalled on the
+   dispatcher ([exec.stall]), so it runs well after the disconnect is
+   noticed.  The session must stay in the table until that rollback has
+   released its locks: a caller that sees it gone reads no leaked lock. *)
+let test_e2e_kill_behind_stalled_write () =
+  let fault = Fault.create ~seed:13 () in
+  with_server ~config:{ test_config with Server.fault } (fun srv ->
+      let setup = connect srv in
+      ignore (expect_ok setup "CREATE TABLE KV (K int PRIMARY KEY, V int);");
+      ignore (expect_ok setup "CREATE TABLE LOG (K int PRIMARY KEY);");
+      ignore (expect_ok setup "INSERT INTO KV VALUES (1, 10);");
+      let doomed = connect srv and staller = connect srv in
+      ignore (expect_ok staller "SELECT K FROM LOG;");
+      ignore (expect_ok doomed "BEGIN;");
+      ignore (expect_ok doomed "UPDATE KV SET V = 11 WHERE K = 1;");
+      let before = Server.active_sessions srv in
+      Fault.arm fault ~point:"exec.stall" (Fault.Delay 0.5);
+      let t_stall =
+        Thread.create
+          (fun () -> ignore (expect_ok staller "INSERT INTO LOG VALUES (1);"))
+          ()
+      in
+      Alcotest.(check bool) "the write is stalled on the dispatcher" true
+        (wait_until (fun () -> Fault.fired_count fault ~point:"exec.stall" > 0));
+      Client.close doomed;
+      Alcotest.(check bool) "server notices the disconnect" true
+        (wait_until (fun () -> Server.active_sessions srv < before));
+      Alcotest.(check int) "no lock outlives the closed session" 0
+        (Mmdb_txn.Lock_manager.active_locks
+           (Mmdb_txn.Txn.lock_manager (Server.manager srv)));
+      Thread.join t_stall;
+      let rows = rows_of (expect_ok setup "SELECT K, V FROM KV;") in
+      Alcotest.(check bool) "the open transaction was rolled back" true
+        (rows = [ [| Value.Int 1; Value.Int 10 |] ]);
+      List.iter (fun c -> ignore (Client.quit c)) [ staller; setup ])
+
 let test_e2e_robustness () =
   with_server (fun srv ->
       (* a healthy session that must survive everything below *)
@@ -1184,6 +1220,8 @@ let () =
             test_e2e_concurrent_clients;
           Alcotest.test_case "killed client mid-transaction" `Quick
             test_e2e_kill_mid_txn;
+          Alcotest.test_case "killed client behind a stalled write" `Quick
+            test_e2e_kill_behind_stalled_write;
           Alcotest.test_case "robustness against malformed input" `Quick
             test_e2e_robustness;
           Alcotest.test_case "admission control" `Quick

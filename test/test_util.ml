@@ -421,7 +421,36 @@ let test_pool_no_forced_minor () =
           forced "scan, batch 1024"
             (fun () -> load "R")
             (fun rel ->
-              Select.select rel [ Select.Eq (Workload.jcol, Value.Int 7) ])))
+              Select.select rel [ Select.Eq (Workload.jcol, Value.Int 7) ]));
+      (* Index growth built its larger arrays around a stored element — the
+         array index's and an overfull extendible bucket's doubling, the
+         extendible directory's, the linear-hash directory's — as did a
+         first bucket of more than 256 slots: with fresh elements, each
+         forced one. *)
+      let grow name (module I : Mmdb_index.Index_intf.S) ?node_size ~hash n =
+        forced name
+          (fun () ->
+            I.create ?node_size ~duplicates:true
+              ~cmp:(fun a b -> compare !a !b)
+              ~hash ())
+          (fun ix ->
+            for i = n downto 1 do
+              ignore (I.insert ix (ref i))
+            done)
+      in
+      let key r = !r in
+      grow "array index growth" (module Mmdb_index.Array_index) ~hash:key 1000;
+      grow "extendible hash, one overfull bucket of 300"
+        (module Mmdb_index.Extendible_hash)
+        ~node_size:300
+        ~hash:(fun _ -> 0)
+        700;
+      grow "extendible hash directory" (module Mmdb_index.Extendible_hash)
+        ~node_size:1 ~hash:key 1000;
+      grow "linear hash directory" (module Mmdb_index.Linear_hash) ~hash:key
+        3000;
+      grow "linear hash, buckets of 300" (module Mmdb_index.Linear_hash)
+        ~node_size:300 ~hash:key 100)
 
 (* --- Lru ----------------------------------------------------------------- *)
 
