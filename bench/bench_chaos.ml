@@ -11,9 +11,8 @@
    how long recovery took — and enforces zero lost committed writes
    plus pair atomicity.  Any violation aborts the bench.
 
-   Runs the server in-process (spawning domains), so it is registered
-   last: experiments that [Unix.fork] must not run after a domain pool
-   existed in the parent. *)
+   Runs the server in-process (spawning domains); the harness runs the
+   experiments that [Unix.fork] before it ([Main.forking]). *)
 
 open Mmdb_storage
 open Mmdb_net

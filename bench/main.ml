@@ -65,10 +65,13 @@ let experiments : (string * string * (Bench_util.config -> unit)) list =
     ("advisor", "Cost-based planning + index advisor vs rule-based",
      Bench_advisor.run);
     ("micro", "Bechamel micro-benchmarks", Bench_micro.run);
-    (* last: runs the server in-process (domains); fork-based
-       experiments must not follow it *)
     ("chaos", "Chaos: crash/recover under wire faults", Bench_chaos.run);
   ]
+
+(* Experiments that [Unix.fork] their server and clients.  OCaml 5
+   refuses a fork once the process has spawned a domain, so these run
+   before every other selected experiment, whatever the list order. *)
+let forking = [ "server"; "replay" ]
 
 let usage () =
   print_endline "mmdb benchmark harness — reproduces every exhibit of the paper";
@@ -120,6 +123,12 @@ let () =
     match !only with
     | [] -> experiments
     | ids -> List.filter (fun (id, _, _) -> List.mem id ids) experiments
+  in
+  let selected =
+    let forks, rest =
+      List.partition (fun (id, _, _) -> List.mem id forking) selected
+    in
+    forks @ rest
   in
   if selected = [] then begin
     Printf.eprintf "no matching experiments\n";

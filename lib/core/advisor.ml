@@ -275,7 +275,7 @@ let create_candidate db ~rel_name ~col_name ~(w : window) =
       | Some col ->
           if Select.candidate_indexes rel ~col <> [] then None
           else
-            let n = Relation.count rel in
+            let n = Relation.cardinality rel in
             if n < 64 then None  (* scans of tiny relations are free *)
             else if net_benefit ~n ~w ~writes:(write_delta rel_name) <= 0.0 then
               None

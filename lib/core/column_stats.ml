@@ -106,7 +106,7 @@ let stale ~built ~now =
 
 let stats_for rel ~col =
   let key = (Relation.name rel, col) in
-  let now = Relation.count rel in
+  let now = Relation.cardinality rel in
   let cached =
     locked @@ fun () ->
     match Hashtbl.find_opt cache key with

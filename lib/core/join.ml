@@ -229,7 +229,7 @@ let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
     | Some p
       when Domain_pool.size p > 1
            && (not (Domain_pool.in_worker ()))
-           && Relation.count outer.rel + Relation.count inner.rel
+           && Relation.cardinality outer.rel + Relation.cardinality inner.rel
               >= parallel_join_threshold ->
         Some p
     | _ -> None
@@ -242,7 +242,7 @@ let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
       ~n:parts outer
   in
   let slots side nb =
-    max 16 ((if parts = 1 then Relation.count side.rel else nb) / 2)
+    max 16 ((if parts = 1 then Relation.cardinality side.rel else nb) / 2)
   in
   let total_inner = Array.fold_left (fun acc p -> acc + p.plen) 0 inners in
   let bound = max skew_bound_floor (2 * total_inner / parts) in

@@ -151,8 +151,8 @@ let choose_join ?stats ~outer ~inner () =
            formulas do not model: sort merge's array scans win. *)
         Algorithm Join.Sort_merge
       else begin
-        let o = Relation.count outer.Join.rel in
-        let i = Relation.count inner.Join.rel in
+        let o = Relation.cardinality outer.Join.rel in
+        let i = Relation.cardinality inner.Join.rel in
         let best =
           List.fold_left
             (fun acc m ->
@@ -180,7 +180,7 @@ let float_of_value = function
    range); the §4 static fractions remain the fallback for shapes
    statistics cannot resolve. *)
 let est_matches rel pred =
-  let n = Relation.count rel in
+  let n = Relation.cardinality rel in
   match pred with
   | Select.Eq (col, _) ->
       min (max 1 n) (Column_stats.est_eq (Column_stats.stats_for rel ~col))
@@ -194,7 +194,7 @@ let est_matches rel pred =
 
 (* Every way to answer [pred], with its estimated cost. *)
 let access_candidates rel pred =
-  let n = Relation.count rel in
+  let n = Relation.cardinality rel in
   let scan = (Select.Sequential_scan, Cost.seq_scan ~n) in
   match pred with
   | Select.Eq (col, _) ->
@@ -240,7 +240,7 @@ type join_cand = Cand_method of Join.method_ | Cand_hash_build_outer
    table on the outer is a distinct candidate — the §3.3.4 formula is
    symmetric, so its cost is the same formula with the roles swapped. *)
 let join_candidates ~eff_outer ~outer ~inner =
-  let i = Relation.count inner.Join.rel in
+  let i = Relation.cardinality inner.Join.rel in
   let feas = feasible_methods ~outer ~inner in
   let base =
     List.map
@@ -298,7 +298,7 @@ let selectivity_factor = function
   | Select.Filter _ -> 3
 
 let est_select outer paths =
-  let n = Relation.count outer in
+  let n = Relation.cardinality outer in
   match paths with
   | [] -> n
   | (path, _) :: _ -> (
@@ -315,7 +315,7 @@ let est_select outer paths =
    column statistics, combined under independence; feedback still wins
    once the shape has run. *)
 let est_select_cost outer paths =
-  let n = Relation.count outer in
+  let n = Relation.cardinality outer in
   match paths with
   | [] -> n
   | (path, _) :: _ -> (
@@ -337,8 +337,8 @@ let est_select_cost outer paths =
    Feedback (keyed on the chosen method and both relation names)
    overrides the prior once the shape has run. *)
 let est_join ~est_sel ~choice ~outer_side ~inner_side =
-  let o = Relation.count outer_side.Join.rel in
-  let i = Relation.count inner_side.Join.rel in
+  let o = Relation.cardinality outer_side.Join.rel in
+  let i = Relation.cardinality inner_side.Join.rel in
   let sel_frac =
     if o <= 0 then 1.0 else float_of_int est_sel /. float_of_int o
   in
@@ -441,7 +441,7 @@ let plan ?stats db (q : Query.t) =
               let cands =
                 named_cands
                   (join_candidates
-                     ~eff_outer:(Relation.count outer_side.Join.rel)
+                     ~eff_outer:(Relation.cardinality outer_side.Join.rel)
                      ~outer:outer_side ~inner:inner_side)
               in
               ((choice, outer_side, inner_side), false, cands))
@@ -482,8 +482,8 @@ let plan ?stats db (q : Query.t) =
               | (_, c) :: _ -> Fmt.str "%.0f" c
               | [] ->
                   Fmt.str "%.0f"
-                    (Cost.of_method m ~outer:(Relation.count o.Join.rel)
-                       ~inner:(Relation.count i.Join.rel)))
+                    (Cost.of_method m ~outer:(Relation.cardinality o.Join.rel)
+                       ~inner:(Relation.cardinality i.Join.rel)))
         | Precomputed _ -> ())
       join
   end;
@@ -533,8 +533,8 @@ let pp_plan ppf p =
             (match p.p_join_cands with
             | (_, c) :: _ -> c
             | [] ->
-                Cost.of_method m ~outer:(Relation.count outer.Join.rel)
-                  ~inner:(Relation.count inner.Join.rel));
+                Cost.of_method m ~outer:(Relation.cardinality outer.Join.rel)
+                  ~inner:(Relation.cardinality inner.Join.rel));
           Option.iter (fun e -> Fmt.pf ppf ", est. %d rows" e) p.p_est_join;
           Fmt.pf ppf ")"
       | Precomputed _ -> Fmt.pf ppf " (follows existing pointers)");

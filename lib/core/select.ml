@@ -94,22 +94,19 @@ let scan_parallel pool rel ~keep out =
   in
   Array.iter (fun l -> Temp_list.append_all out l) locals
 
-(* Snapshot-safe batched parallel scan (the fix for the PR 6 regression
-   where any live snapshot forced scans sequential): the coordinator
-   captures the relation's immutable membership-view spine once, chunks
-   it, and each worker filters its chunk by visibility at the
-   coordinator's snapshot — installed in the worker's DLS via
-   {!Version_store.with_installed_snapshot}, which is safe because the
-   coordinator holds its registry slot until every future is awaited —
-   so residual [Tuple.get]s resolve snapshot-consistent values.  The
-   visibility filter runs once per tuple here instead of per field
-   access downstream.  Emission order is chunk order (result sets are
-   unordered); MVCC-mode equivalence with the sequential path is by
-   multiset. *)
-let scan_parallel_snapshot pool rel ~snapshot ~epoch ~keep out =
-  let tuples =
-    Array.of_list (Atomic.get (Relation.view rel).Version_store.tuples)
-  in
+(* Parallel scan under a snapshot: the coordinator collects the tuples
+   visible at its snapshot through the relation's two-pass snapshot
+   read, chunks them, and each worker applies [keep] to its chunk with
+   the snapshot installed in its DLS ({!Version_store.with_installed_snapshot},
+   safe because the coordinator holds its registry slot until every
+   future is awaited), so residual [Tuple.get]s resolve
+   snapshot-consistent values.  Emission order is chunk order (result
+   sets are unordered); MVCC-mode equivalence with the sequential path
+   is by multiset. *)
+let scan_parallel_snapshot pool rel ~snapshot ~keep out =
+  let acc = ref [] in
+  Relation.iter rel (fun t -> acc := t :: !acc);
+  let tuples = Array.of_list (List.rev !acc) in
   let n = Array.length tuples in
   let desc = Temp_list.descriptor out in
   if n > 0 then begin
@@ -120,11 +117,10 @@ let scan_parallel_snapshot pool rel ~snapshot ~epoch ~keep out =
       Domain_pool.parallel_map pool
         (fun (lo, hi) ->
           let local = Temp_list.create desc in
-          Version_store.with_installed_snapshot snapshot ~epoch (fun () ->
+          Version_store.with_installed_snapshot snapshot (fun () ->
               for i = lo to hi - 1 do
                 let t = tuples.(i) in
-                if Version_store.visible_at snapshot t && keep t then
-                  Temp_list.append local [| t |]
+                if keep t then Temp_list.append local [| t |]
               done);
           local)
         ranges
@@ -139,7 +135,7 @@ let use_parallel_scan pool rel =
       if
         Domain_pool.size pool > 1
         && (not (Domain_pool.in_worker ()))
-        && Relation.count rel >= parallel_scan_threshold
+        && Relation.cardinality rel >= parallel_scan_threshold
         && (Version_store.current_snapshot () <> None
            || List.length (Relation.partitions rel) > 1)
       then Some pool
@@ -290,7 +286,6 @@ let run ?pool ?est_rows rel ~path ~predicates =
           match Version_store.current_snapshot () with
           | Some s ->
               scan_parallel_snapshot pool rel ~snapshot:s
-                ~epoch:(Version_store.current_epoch ())
                 ~keep:(fun t -> residual_ok t preds)
                 out
           | None ->

@@ -439,13 +439,19 @@ let families =
         v.mvcc.st_tuples_swept);
     gauge ("mvcc", "max_chain") "mmdb_mvcc_max_chain"
       "Longest version chain seen" (fun v -> Int v.mvcc.st_max_chain);
-    column Keyed [ "path" ]
-      (fun v ->
-        [ ("fast", v.mvcc.st_fast_reads); ("fallback", v.mvcc.st_fallback_reads) ])
-      "counter" ("snapshot_reads", "n") "mmdb_snapshot_reads_total"
-      "Snapshot read entries that walked the live index (fast) or, after an \
-       intervening write, the membership view (fallback)"
-      (fun (path, n) -> ([ path ], Int n));
+    gauge ("mvcc", "versioned_tuples") "mmdb_mvcc_versioned_tuples"
+      "Tuples with a non-empty version chain, over every relation: what \
+       each snapshot read and GC pass walks"
+      (fun v -> Int v.mvcc.st_versioned_tuples);
+    gauge ("mvcc", "horizon_lag") "mmdb_mvcc_horizon_lag"
+      "Commits since the horizon the latest GC pass pruned to" (fun v ->
+        Int v.mvcc.st_horizon_lag);
+    counter ("snapshot_reads", "n") "mmdb_snapshot_reads_total"
+      "Snapshot read entries: a live-index pass plus the versioned tuples"
+      (fun v -> v.mvcc.st_snapshot_reads);
+    counter ("snapshot_reads", "waited") "mmdb_snapshot_reads_waited_total"
+      "Snapshot read entries that first waited out a held write mark"
+      (fun v -> v.mvcc.st_waited_reads);
     gauge ("batch", "enabled") "mmdb_batch_enabled"
       "1 when batches carry more than one tuple" (fun v ->
         Bool v.batch.st_enabled);

@@ -755,10 +755,10 @@ let start ?(config = default_config) ?mgr db =
   in
   (* The config knob is authoritative for this process: it seeds the
      storage-layer flag (hooks consult it on every mutation) and the
-     executor's Read-bypass mode together.  Views may need rebuilding if
-     the database was populated while versioning was off. *)
+     executor's Read-bypass mode together.  Tuples stored while
+     versioning was off have empty chains, which every snapshot reads
+     through the live index. *)
   Version_store.set_enabled config.mvcc;
-  if config.mvcc then List.iter Relation.ensure_view (Db.relations db);
   (* Same authority for the planner knob: the config seeds the
      process-wide flag, so EXPLAIN and STATS agree with what runs. *)
   Optimizer.set_cost_based config.cost;

@@ -61,7 +61,8 @@ type t = {
   mutable next_pid : int;
   mutable indices : index_instance list;  (** primary index first *)
   mutable count : int;
-  view : Version_store.view;  (** MVCC membership view for snapshot scans *)
+  versioned : Version_store.versioned;
+      (** tuples with a non-empty version chain, for snapshot reads *)
 }
 
 let schema t = t.schema
@@ -69,7 +70,8 @@ let name t = t.schema.Schema.name
 let slot_capacity t = t.slot_capacity
 let heap_capacity t = t.heap_capacity
 let partitions t = List.rev t.partitions
-let view t = t.view
+let cardinality t = t.count
+let versioned_count t = t.versioned.Version_store.size
 
 let def_of (module Inst : INSTANCE) = Inst.def
 
@@ -117,7 +119,7 @@ let create ?(slot_capacity = Partition.default_slot_capacity)
     next_pid = 0;
     indices = [ make_instance ~expected primary ];
     count = 0;
-    view = Version_store.make_view ();
+    versioned = Version_store.make_versioned ();
   }
 
 let primary t =
@@ -215,62 +217,65 @@ let probe_for t (def : index_def) key =
 
 (* --- MVCC snapshot reads ----------------------------------------------- *)
 
-(* Under an MVCC snapshot [s], a read entry walks the live index only
-   when the index holds exactly the state at [s]: no write finished
-   since the epoch captured with [s], and none is in progress.
-   {!Version_store.exclusive_read} checks both and keeps writers out
-   while the traversal runs, because a writer drains in-flight
-   traversals before its first index mutation.  The traversal only
-   collects; the visibility filter and the caller's callback run after
-   writers are let back in, so no operator work ever stalls a writer.
-   When a write intervened, the entry falls back to the relation's
-   membership view: the tuples visible at [s] whose fields there [keep]
-   accepts (the key bounds, for the key-bounded entries), sorted by the
-   index's key columns — comparisons through {!Tuple.get} read
-   snapshot-consistent values.  A fallback point read is therefore O(n),
-   not O(n log n). *)
-let snapshot_tuples t s (module Inst : INSTANCE) ~traverse ~keep =
-  match
-    Version_store.exclusive_read (fun () ->
+(* Field arrays [a] against [b] on [columns], from position [j]; read
+   without the §3.1 tally, so that counters do not depend on what is
+   versioned. *)
+let rec compare_fields columns a b j =
+  if j >= Array.length columns then 0
+  else
+    let c = Value.compare a.(columns.(j)) b.(columns.(j)) in
+    if c <> 0 then c else compare_fields columns a b (j + 1)
+
+(* The index key of [a] and [b] at snapshot [s], then identity: the
+   order {!Tuple.compare_keyed} gives the live index. *)
+let compare_at s columns a b =
+  let at tu = Version_store.fields_at s (Tuple.resolve tu) in
+  let c = compare_fields columns (at a) (at b) 0 in
+  if c <> 0 then c else Int.compare (Tuple.id a) (Tuple.id b)
+
+let unversioned (tu : Tuple.t) = tu.Value.vers.Value.vs = []
+
+(* Under an MVCC snapshot [s], a read entry makes two passes.  Under the
+   reader drain ({!Version_store.exclusive_read}), which waits out any
+   held write mark and keeps marks out until it returns, it walks the
+   live index with [traverse] keeping only the tuples whose chain is
+   empty — those have the same fields and membership at every live
+   snapshot — and captures the relation's versioned tuples.  After the
+   drain it keeps the versioned tuples visible at [s] whose key there
+   lies within the probes [lo] and [hi], sorts those few by the index
+   key at [s] and merges them in.  The traversal only collects; no
+   filtering or caller callback runs while writers wait.  A read costs
+   O(log n + m + d) for m matches and d versioned tuples, whatever
+   writes ran since [s]. *)
+let snapshot_tuples t s (module Inst : INSTANCE) ?lo ?hi traverse =
+  let columns = Inst.def.columns in
+  let within bound sign fields =
+    match bound with
+    | None -> true
+    | Some (p : Tuple.t) -> sign (compare_fields columns fields p.Value.fields 0)
+  in
+  let keep fields = within lo (fun c -> c >= 0) fields && within hi (fun c -> c <= 0) fields in
+  let rev_live, versioned =
+    Version_store.exclusive_read t.versioned (fun () ->
         let acc = ref [] in
-        traverse (fun tu -> acc := tu :: !acc);
+        traverse (fun tu -> if unversioned tu then acc := tu :: !acc);
         !acc)
-  with
-  | Some rev ->
-      List.fold_left
-        (fun acc tu -> if Version_store.visible_at s tu then tu :: acc else acc)
-        [] rev
-  | None ->
-      List.filter
-        (fun tu -> Version_store.visible_where s keep (Tuple.resolve tu))
-        (Atomic.get t.view.Version_store.tuples)
-      |> List.sort (Tuple.compare_keyed ~columns:Inst.def.columns)
+  in
+  let live = List.rev rev_live in
+  match Version_store.visible_of s keep versioned with
+  | [] -> live
+  | extra ->
+      let cmp = compare_at s columns in
+      List.merge cmp live (List.sort cmp extra)
 
 let instance t = function None -> primary t | Some n -> find_index_exn t n
 
 (* The one read body of every entry: walk [traverse] directly without a
    snapshot, else hand [f] the snapshot's tuples. *)
-let read t inst ~traverse ~keep f =
+let read t inst ?lo ?hi traverse f =
   match Version_store.current_snapshot () with
   | None -> traverse f
-  | Some s -> List.iter f (snapshot_tuples t s inst ~traverse ~keep)
-
-let all _ = true
-
-(* A fallback's key bounds, on the fields a tuple has at the snapshot:
-   [lo <= key <= hi] on [columns], either bound optional. *)
-let within ~columns ?lo ?hi fields =
-  let cmp key =
-    let rec go j =
-      if j >= Array.length columns then 0
-      else
-        let c = Value.compare fields.(columns.(j)) key.(j) in
-        if c <> 0 then c else go (j + 1)
-    in
-    go 0
-  in
-  Option.fold ~none:true ~some:(fun k -> cmp k >= 0) lo
-  && Option.fold ~none:true ~some:(fun k -> cmp k <= 0) hi
+  | Some s -> List.iter f (snapshot_tuples t s inst ?lo ?hi traverse)
 
 (* Range scans need an ordered index on every path, snapshot or not. *)
 let ordered (module Inst : INSTANCE) =
@@ -278,72 +283,83 @@ let ordered (module Inst : INSTANCE) =
     raise
       (Mmdb_index.Index_intf.Unsupported (Inst.I.name ^ ": no range scans"))
 
+(* At a snapshot: the live count, less the versioned tuples still
+   stored (a deleted tuple's [pid] is -1), plus the versioned tuples
+   visible at [s]. *)
 let count t =
   match Version_store.current_snapshot () with
   | None -> t.count
-  | Some s -> (
-      match Version_store.exclusive_read (fun () -> t.count) with
-      | Some n -> n
-      | None ->
-          List.fold_left
-            (fun n tu -> if Version_store.visible_at s tu then n + 1 else n)
-            0
-            (Atomic.get t.view.Version_store.tuples))
+  | Some s ->
+      let live, versioned =
+        Version_store.exclusive_read t.versioned (fun () ->
+            List.fold_left
+              (fun n tu -> if (Tuple.resolve tu).Value.pid >= 0 then n - 1 else n)
+              t.count t.versioned.Version_store.tuples)
+      in
+      live + List.length (Version_store.visible_of s (fun _ -> true) versioned)
 
-(* After a lazy delete the view keeps a tombstoned entry for the GC to
-   sweep; once dead entries dominate, compact opportunistically (we are
-   on the writer's thread, which is the serialization the GC needs). *)
-let maybe_sweep t =
-  if
-    Version_store.enabled ()
-    && Version_store.view_size t.view > (2 * t.count) + 64
-  then ignore (Version_store.gc_view t.view ~horizon:(Version_store.horizon ()))
+let gc t ~horizon = Version_store.gc_versioned t.versioned ~horizon
 
 (* --- public operations ------------------------------------------------ *)
 
+let versioned (tu : Tuple.t) = not (unversioned tu)
+
 (* Every index-mutating entry holds the write mark
-   ({!Version_store.writing}) so that no snapshot read walks an index
+   ({!Version_store.mutating}) so that no snapshot read walks an index
    mid-change. *)
+
+(* Enter [tuple] into every index and a partition, unwinding on a
+   uniqueness violation or a full heap. *)
+let enter t tuple =
+  let rec go done_ = function
+    | [] -> Ok ()
+    | inst :: rest ->
+        if idx_insert inst tuple then go (inst :: done_) rest
+        else begin
+          List.iter (fun i -> ignore (idx_delete i tuple)) done_;
+          Error (Printf.sprintf "unique index %s violated" (def_of inst).idx_name)
+        end
+  in
+  match go [] t.indices with
+  | Error _ as e -> e
+  | Ok () -> (
+      match place_tuple t tuple with
+      | Error msg ->
+          List.iter (fun i -> ignore (idx_delete i tuple)) t.indices;
+          Error msg
+      | Ok () ->
+          t.count <- t.count + 1;
+          Ok ())
+
 let insert t values =
   match Schema.check_tuple t.schema values with
   | Error msg -> Error msg
-  | Ok () -> Version_store.writing @@ fun () -> (
+  | Ok () ->
+      Version_store.mutating ~versioned:false @@ fun () ->
       let tuple = Tuple.make (Array.copy values) in
-      (* Enter the tuple into every index, unwinding on a uniqueness
-         violation. *)
-      let rec enter done_ = function
-        | [] -> Ok ()
-        | inst :: rest ->
-            if idx_insert inst tuple then enter (inst :: done_) rest
-            else begin
-              List.iter (fun i -> ignore (idx_delete i tuple)) done_;
-              Error
-                (Printf.sprintf "unique index %s violated"
-                   (def_of inst).idx_name)
-            end
-      in
-      match enter [] t.indices with
-      | Error _ as e -> e
-      | Ok () -> (
-          match place_tuple t tuple with
-          | Error msg ->
-              List.iter (fun i -> ignore (idx_delete i tuple)) t.indices;
-              Error msg
-          | Ok () ->
-              t.count <- t.count + 1;
-              Version_store.on_insert t.view tuple;
-              Ok tuple))
+      Result.map
+        (fun () ->
+          Version_store.on_insert t.versioned tuple;
+          tuple)
+        (enter t tuple)
+
+(* The same record back, with its identity and version history: a failed
+   commit's unwind of a delete. *)
+let undelete t tuple =
+  let resolved = Tuple.resolve tuple in
+  Version_store.mutating ~versioned:(versioned resolved) (fun () ->
+      enter t resolved)
 
 let delete_tuple t tuple =
   let resolved = Tuple.resolve tuple in
   if resolved.Value.pid < 0 then false
-  else Version_store.writing @@ fun () ->
+  else Version_store.mutating ~versioned:(versioned resolved) @@ fun () ->
     let p = partition_of_exn t resolved.Value.pid in
     if Partition.remove p resolved then begin
       List.iter (fun inst -> ignore (idx_delete inst tuple)) t.indices;
+      resolved.Value.pid <- -1;
       t.count <- t.count - 1;
-      Version_store.on_delete t.view resolved;
-      maybe_sweep t;
+      Version_store.on_delete t.versioned resolved;
       true
     end
     else false
@@ -352,9 +368,8 @@ let lookup ?index t key =
   let (module Inst : INSTANCE) as inst = instance t index in
   let probe = probe_for t Inst.def key in
   let acc = ref [] in
-  read t inst
-    ~traverse:(Inst.I.iter_matches Inst.handle probe)
-    ~keep:(within ~columns:Inst.def.columns ~lo:key ~hi:key)
+  read t inst ~lo:probe ~hi:probe
+    (Inst.I.iter_matches Inst.handle probe)
     (fun tu -> acc := tu :: !acc);
   List.rev !acc
 
@@ -364,35 +379,21 @@ let lookup_one ?index t key =
 let lookup_range ?index t ~lo ~hi f =
   let (module Inst : INSTANCE) as inst = instance t index in
   ordered inst;
-  let plo = probe_for t Inst.def lo and phi = probe_for t Inst.def hi in
-  read t inst
-    ~traverse:(Inst.I.range Inst.handle ~lo:plo ~hi:phi)
-    ~keep:(within ~columns:Inst.def.columns ~lo ~hi)
-    f
+  let lo = probe_for t Inst.def lo and hi = probe_for t Inst.def hi in
+  read t inst ~lo ~hi (Inst.I.range Inst.handle ~lo ~hi) f
 
 let lookup_from ?index t key f =
   let (module Inst : INSTANCE) as inst = instance t index in
   ordered inst;
-  let probe = probe_for t Inst.def key in
-  read t inst
-    ~traverse:(Inst.I.iter_from Inst.handle probe)
-    ~keep:(within ~columns:Inst.def.columns ~lo:key)
-    f
+  let lo = probe_for t Inst.def key in
+  read t inst ~lo (Inst.I.iter_from Inst.handle lo) f
 
 let iter_via ?index t f =
   let (module Inst : INSTANCE) as inst = instance t index in
-  read t inst ~traverse:(Inst.I.iter Inst.handle) ~keep:all f
+  read t inst (Inst.I.iter Inst.handle) f
 
 (* Scan through the primary index, honouring the all-access-via-index rule. *)
 let iter t f = iter_via t f
-
-let to_seq t =
-  let (module Inst : INSTANCE) as inst = primary t in
-  match Version_store.current_snapshot () with
-  | None -> Inst.I.to_seq Inst.handle
-  | Some s ->
-      List.to_seq
-        (snapshot_tuples t s inst ~traverse:(Inst.I.iter Inst.handle) ~keep:all)
 
 (* Batched scan production: fill fixed-size batches of tuple pointers
    with the values of [key_col] extracted into the batch's key slice.
@@ -440,19 +441,6 @@ let iter_batches ?key_col ?size t f =
 
 (* Direct partition access — recovery subsystem only. *)
 let iter_storage t f = List.iter (fun p -> Partition.iter p f) (partitions t)
-
-(* Rebuild the membership view from storage.  Needed when MVCC is turned
-   on at runtime: inserts made while it was off bypassed view
-   maintenance.  Only rebuilds when entries are {e missing} ([size <
-   count]) — a view larger than the relation legitimately carries dead
-   entries old snapshots still see, and must not be clobbered. *)
-let ensure_view t =
-  if Version_store.enabled () && Version_store.view_size t.view < t.count then begin
-    let acc = ref [] in
-    iter_storage t (fun tu -> acc := tu :: !acc);
-    Atomic.set t.view.Version_store.tuples !acc;
-    Atomic.set t.view.Version_store.size (List.length !acc)
-  end
 
 let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
     =
@@ -521,10 +509,11 @@ let update_field t tuple col v =
     invalid_arg "Relation.update_field: column out of range";
   if not (Schema.value_fits (Schema.column_type t.schema col) v) then
     Error "value does not fit column type"
-  else Version_store.writing @@ fun () ->
+  else
     let resolved = Tuple.resolve tuple in
+    Version_store.mutating ~versioned:(versioned resolved) @@ fun () ->
     (* The tuple's base version, before any field write. *)
-    Version_store.prepare_update resolved;
+    Version_store.prepare_update t.versioned resolved;
     let affected =
       List.filter
         (fun (module Inst : INSTANCE) -> Array.mem col Inst.def.columns)
@@ -557,7 +546,7 @@ let update_field t tuple col v =
             false
       end
       else begin
-        Tuple.set resolved col v;
+        Tuple.update resolved col v;
         true
       end
     in
@@ -580,11 +569,11 @@ let update_field t tuple col v =
     else
       match reenter [] affected with
       | Ok () ->
-          Version_store.on_update (Tuple.resolve tuple);
+          Version_store.on_update t.versioned (Tuple.resolve tuple);
           Ok ()
       | Error msg ->
           (* Revert the field and restore entries under the old key. *)
-          Tuple.set tuple col old_v;
+          Tuple.update tuple col old_v;
           (match (old_v, v) with
           | Value.Str _, _ | _, Value.Str _ ->
               let cur = Tuple.resolve tuple in

@@ -61,7 +61,12 @@ val name : t -> string
 
 val count : t -> int
 (** Live tuple count; under an active MVCC snapshot, the count of tuples
-    visible to that snapshot. *)
+    visible to that snapshot: a snapshot read entry, O(d) in the
+    relation's versioned tuples. *)
+
+val cardinality : t -> int
+(** The live tuple count, in O(1), whatever snapshot is active.  For
+    estimates (the planner, statistics staleness), not for answers. *)
 
 val slot_capacity : t -> int
 val heap_capacity : t -> int
@@ -69,13 +74,13 @@ val partitions : t -> Partition.t list
 
 (** {1 MVCC} *)
 
-val view : t -> Version_store.view
-(** The relation's membership view: what snapshot scans consider, and
-    what {!Version_store.gc_view} prunes. *)
+val versioned_count : t -> int
+(** How many tuples the relation lists as versioned (non-empty chain):
+    the d every snapshot read entry and GC pass walks. *)
 
-val ensure_view : t -> unit
-(** Rebuild the view from storage when MVCC is switched on at runtime
-    (inserts made while it was off bypassed view maintenance). *)
+val gc : t -> horizon:int -> int
+(** Prune the versioned tuples to [horizon] under the write mark
+    ({!Version_store.gc_versioned}); returns the versions reclaimed. *)
 
 (** {1 Indices} *)
 
@@ -111,13 +116,25 @@ val insert : t -> Value.t array -> (Tuple.t, string) result
 
 val delete_tuple : t -> Tuple.t -> bool
 
+val undelete : t -> Tuple.t -> (unit, string) result
+(** Put a tuple that {!delete_tuple} removed back — the same record, so
+    its identity and MVCC history survive.  For unwinding a failed
+    commit. *)
+
 val update_field : t -> Tuple.t -> int -> Value.t -> (unit, string) result
 (** Update one field: only indices covering the column reposition their
     (pointer) entries.  If a growing string overflows the partition heap,
     the record moves to another partition behind a forwarding address
     (§2.1 footnote 1).  Uniqueness violations roll the update back. *)
 
-(** {1 Access paths (all through indices)} *)
+(** {1 Access paths (all through indices)}
+
+    Under an active MVCC snapshot each entry below makes two passes: it
+    walks the live index for the tuples whose version chain is empty,
+    waiting out a write operation in progress, and merges in the
+    relation's versioned tuples visible at the snapshot, in the index's
+    key order.  A read costs O(log n + m + d) for m results and d
+    versioned tuples ({!versioned_count}). *)
 
 val lookup : ?index:string -> t -> Value.t array -> Tuple.t list
 (** All tuples whose index key equals the probe values; [index] defaults
@@ -138,7 +155,6 @@ val lookup_from :
 val iter : t -> (Tuple.t -> unit) -> unit
 (** Scan in primary-index order. *)
 
-val to_seq : t -> Tuple.t Seq.t
 val iter_via : ?index:string -> t -> (Tuple.t -> unit) -> unit
 
 val iter_batches :

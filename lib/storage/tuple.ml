@@ -30,14 +30,11 @@ let arity (t : t) = Array.length (resolve t).Value.fields
 (* Field access resolves against the active MVCC snapshot when one is
    installed (a server Read job): the visible version's frozen fields
    are read instead of the live array a concurrent writer may be
-   mutating.  With no snapshot — the default — the extra cost is one
+   replacing.  With no snapshot — the default — the extra cost is one
    domain-local read and a branch. *)
 let get (t : t) i =
   Counters.bump_ptr_derefs ();
-  let t = resolve t in
-  match Version_store.snapshot_fields t with
-  | Some frozen -> frozen.(i)
-  | None -> t.Value.fields.(i)
+  (Version_store.current_fields (resolve t)).(i)
 
 (* Raw accessor without counter or forwarding, for internal bookkeeping. *)
 let get_raw (t : t) i = t.Value.fields.(i)
@@ -46,11 +43,7 @@ let get_raw (t : t) i = t.Value.fields.(i)
    kernels extract key slices with [peek] at batch-fill time and account
    the paper's logical dereferences themselves, per evaluation rather
    than per extraction, so §3.1 totals match the tuple-at-a-time path. *)
-let peek (t : t) i =
-  let t = resolve t in
-  match Version_store.snapshot_fields t with
-  | Some frozen -> frozen.(i)
-  | None -> t.Value.fields.(i)
+let peek (t : t) i = (Version_store.current_fields (resolve t)).(i)
 
 (* [peek] hoisted out of the loop: capture the ambient snapshot state
    once per scan and return a field reader that skips the per-tuple
@@ -61,9 +54,19 @@ let scan_reader () =
   | None -> fun (t : t) i -> (resolve t).Value.fields.(i)
   | Some s -> fun (t : t) i -> (Version_store.fields_at s (resolve t)).(i)
 
+(* In place: for probes and other tuples no snapshot reader can hold. *)
 let set (t : t) i v =
   let t = resolve t in
   t.Value.fields.(i) <- v
+
+(* A stored tuple's field write replaces its field array rather than
+   writing into it, so a snapshot reader that loaded the old array keeps
+   reading consistent values ({!Version_store.fields_at}). *)
+let update (t : t) i v =
+  let t = resolve t in
+  let fields = Array.copy t.Value.fields in
+  fields.(i) <- v;
+  t.Value.fields <- fields
 
 let fields (t : t) = Array.copy (resolve t).Value.fields
 

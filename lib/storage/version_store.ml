@@ -1,60 +1,50 @@
 (** MVCC versioning: the global commit clock, per-tuple version chains,
-    statement snapshots, and the storage-side write/read hooks.
+    statement snapshots, the storage-side write/read hooks, and the GC.
 
     The paper's §2.4 partition locks make every reader block behind any
     writer.  This module gives read-only statements a consistent
     {e snapshot} instead: each committed mutation stamps immutable
     version records ({!Value.version}) onto the affected tuples' chains,
-    and a reader that acquired snapshot [s] resolves every field access
-    against the version visible at [s] — never taking a lock and never
-    observing a concurrent writer's uncommitted state.
+    and a reader at snapshot [s] resolves every field access against the
+    version visible at [s], never taking a lock.
 
-    Visibility rule: version [v] is visible at snapshot [s] iff
-    [v.v_begin <= s < v.v_end].  [max_int] in [v_begin] means "not yet
-    committed", in [v_end] "still current".  A tuple with an {e empty}
-    chain predates versioning (or was created with MVCC off) and is
-    visible to every snapshot through its live fields.
+    Visibility: version [v] is visible at [s] iff
+    [v.v_begin <= s < v.v_end]; [max_int] means "not yet committed" in
+    [v_begin] and "still current" in [v_end].  A tuple with an {e empty}
+    chain (never versioned, written with MVCC off, or collapsed by the
+    GC) is visible to every snapshot through its live fields.
 
-    Two stamping modes:
+    Writes record into a deferred {e write scope} ({!with_write}, which
+    [Txn.commit] opens; a lone [Relation] operation opens its own when a
+    snapshot is live or the tuple is versioned, and otherwise records
+    nothing).  Pushed versions carry [v_begin = max_int]; at scope end
+    {!publish} stamps them all with one reserved timestamp and only then
+    moves the commit clock to it ({!stamp_with}), so a snapshot at
+    [s >= ts] sees every stamp and one at [s < ts] none.
 
-    - {e deferred} (inside {!with_write}, which [Txn.commit] opens
-      around a transaction's apply): mutations push versions stamped
-      [v_begin = max_int] — invisible — and record them in a pending
-      buffer; {!with_write} publishes at scope end by stamping every
-      pending version with one freshly reserved timestamp and only then
-      moving the commit clock to it ({!stamp_with}).  The clock move is
-      the happens-before edge: a snapshot acquired at [s >= ts] is
-      guaranteed to see the stamps.  Because uncommitted versions carry
-      [v_begin = max_int], another database sharing the process-global
-      clock can never expose them early.
+    The registry vs. the GC: {!acquire_slot} publishes its slot and then
+    re-validates that the clock did not move; the GC reads the clock
+    {e before} scanning slots, so its horizon is at most every live
+    snapshot.
 
-    - {e immediate} (no scope: direct {!Relation} use in tests, benches
-      and recovery): mutations stamp at a freshly bumped timestamp right
-      away.  When no snapshot is live, immediate mode is {e lazy} — it
-      skips version copies entirely for unversioned tuples, so MVCC-on
-      adds no per-operation cost to single-threaded workloads.
-
-    Safety argument for the snapshot registry (readers vs. the epoch
-    GC): {!acquire} publishes its slot and then re-validates that the
-    commit clock did not move; the GC reads the clock {e before}
-    scanning slots.  If the GC missed a just-registered slot [s], its
-    clock read happened before the reader's successful re-validation of
-    [s], and the clock is monotonic, so the GC's horizon is <= [s] —
-    it can only prune versions that snapshot could not see anyway.
-
-    Live-index reads (readers vs. the writer's index mutations): a
-    snapshot may walk a relation's live index only when that index holds
-    exactly the state at the snapshot.  Every write holds a mark in
-    {!writers} from before its first index mutation until after
-    {!publish}, then bumps {!write_epoch} and drops the mark; after
-    setting the mark it waits until no traversal counted in {!readers}
-    is in flight.  A snapshot remembers the epoch it read {e before}
-    acquiring its timestamp.  {!exclusive_read} counts itself a reader
-    and only then checks that no write is marked and the epoch is
-    unchanged.  All three are SC atomics, so either the reader sees the
-    writer's mark or the writer waits for the reader.  On success every
-    write the index reflects published before the snapshot's timestamp
-    was taken, and none can start until the traversal ends. *)
+    Snapshot reads vs. writers and the GC: the state at [s] is the live
+    index corrected by the relation's {e versioned tuples} ({!versioned}).
+    While no write mark is held, a tuple reachable from an index is in
+    its relation's list exactly when its chain is non-empty, and a
+    deleted tuple a live snapshot may see is listed too.  Every index
+    mutation, list change and change of a chain's emptiness holds a mark
+    in {!writers} for one operation ({!writing}); the GC holds one for a
+    pass.  Between two operations of a scope every tuple it touched is
+    listed with versions no earlier snapshot sees, so the index plus the
+    lists still read as the state before the scope.  A marker waits
+    until no traversal counted in {!readers} is in flight;
+    {!exclusive_read} counts itself a reader and only then checks for a
+    mark, waiting it out if one is held.  All are SC atomics, so the
+    index pass and the list capture of one read see one state.  After
+    the drain a reader resolves chains that writers may be changing: it
+    loads a tuple's chain once per resolution, and the live field array
+    before the chain, while a writer pushes a base version before it
+    replaces (never mutates) the live array. *)
 
 let unstamped = max_int
 
@@ -117,9 +107,9 @@ let stamp_with f =
       raise_to commit_ts ts)
     (fun () -> f ts)
 
-(* Recovery replays a crashed instance's log in immediate mode and then
-   raises the clock to the log's highest LSN so that post-recovery
-   snapshots order after everything replayed.  Monotonic-only: the clock
+(* Recovery replays a crashed instance's log outside any write scope
+   and then raises the clock to the log's highest LSN so that
+   post-recovery snapshots order after everything replayed.  Monotonic-only: the clock
    is process-global and must never move backwards. *)
 let bump_to ts =
   raise_to reserved_ts ts;
@@ -142,29 +132,41 @@ let versions_walked_key : int ref Domain.DLS.key =
 
 let versions_walked () = !(Domain.DLS.get versions_walked_key)
 
-(* Snapshot read entries that walked the live index, and those that fell
-   back to the membership view because a write intervened. *)
-let fast_reads = Atomic.make 0
-let fallback_reads = Atomic.make 0
+(* Snapshot read entries, and those of them that first waited out a held
+   write mark. *)
+let snapshot_reads = Atomic.make 0
+let waited_reads = Atomic.make 0
 
-(* --- write epoch and reader drain --------------------------------------- *)
+(* Versioned tuples over every relation's list, and the horizon the
+   latest GC pass pruned to. *)
+let versioned_tuples = Atomic.make 0
+let last_horizon = Atomic.make 0
 
-(* See the live-index safety argument in the header. *)
-let write_epoch : int Atomic.t = Atomic.make 0
+(* Listed tuples the GC passes have visited, in total. *)
+let gc_visited = Atomic.make 0
+
+(* --- write marks and reader drain ---------------------------------------- *)
+
+(* See the snapshot-read safety argument in the header.  [waiting]
+   counts the readers that found a mark held and wait it out. *)
 let writers : int Atomic.t = Atomic.make 0
 let readers : int Atomic.t = Atomic.make 0
+let waiting : int Atomic.t = Atomic.make 0
 
-(* Hold the write mark around [f]: no live-index traversal overlaps it,
-   and snapshots taken before it ends stop trusting the live index.  The
-   in-flight traversals it waits out only collect tuples and never wait
-   on a writer. *)
-let marked f =
+(* Hold the write mark around [f] — one index-mutating operation, a GC
+   pass, or a failed commit's unwind: no snapshot read's traversal
+   overlaps it.  The in-flight traversals it waits out only collect
+   tuples and never wait on a writer.  The last mark out waits until
+   the readers it held up are in, so a bulk write's back-to-back
+   operations cannot starve them; a reader then waits out at most one
+   operation. *)
+let writing f =
   Atomic.incr writers;
   await (fun () -> Atomic.get readers = 0);
   Fun.protect
     ~finally:(fun () ->
-      Atomic.incr write_epoch;
-      Atomic.decr writers)
+      if Atomic.fetch_and_add writers (-1) = 1 then
+        await (fun () -> Atomic.get waiting = 0 || Atomic.get writers > 0))
     f
 
 (* --- snapshot registry ------------------------------------------------- *)
@@ -228,235 +230,227 @@ let current_key : int option Domain.DLS.key =
 
 let current_snapshot () = Domain.DLS.get current_key
 
-(* The write epoch read just before the active snapshot was acquired. *)
-let epoch_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
-
-let current_epoch () = Domain.DLS.get epoch_key
-
-(* Install an already-acquired snapshot timestamp and its epoch in this
-   domain's DLS without taking a registry slot, run [f], restore.  For
-   pool workers executing one chunk of a coordinator's batched parallel
-   scan: the coordinator acquired [s] and holds its registry slot for
-   the whole parallel section (it awaits every worker future before
-   releasing), so the GC horizon cannot pass [s] while a worker runs
-   under it. *)
-let with_installed_snapshot s ~epoch f =
-  let outer = Domain.DLS.get current_key
-  and outer_epoch = Domain.DLS.get epoch_key in
+(* Install snapshot [s] in this domain's DLS without taking a registry
+   slot, run [f], restore.  For pool workers executing one chunk of a
+   coordinator's parallel snapshot scan: the coordinator acquired [s]
+   and holds its registry slot for the whole parallel section (it awaits
+   every worker future before releasing), so the GC horizon cannot pass
+   [s] while a worker runs under it. *)
+let with_installed_snapshot s f =
+  let outer = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some s);
-  Domain.DLS.set epoch_key epoch;
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set current_key outer;
-      Domain.DLS.set epoch_key outer_epoch)
-    f
+  Fun.protect ~finally:(fun () -> Domain.DLS.set current_key outer) f
 
 (* Run [f] under a freshly acquired snapshot (or plainly when MVCC is
-   off).  [f] receives the snapshot timestamp (-1 when off).  The epoch
-   is read before the slot is acquired: a write that publishes in
-   between then makes live-index reads fall back, never the reverse. *)
+   off).  [f] receives the snapshot timestamp (-1 when off). *)
 let with_snapshot f =
   if not (enabled ()) then f (-1)
   else begin
-    let epoch = Atomic.get write_epoch in
     let slot, s = acquire_slot () in
     Domain.DLS.get versions_walked_key := 0;
     Fun.protect
       ~finally:(fun () -> release_slot slot)
-      (fun () -> with_installed_snapshot s ~epoch (fun () -> f s))
+      (fun () -> with_installed_snapshot s (fun () -> f s))
   end
 
-(* Run [traverse] over live index structures if they hold exactly the
-   state at this domain's snapshot, keeping writers out until it
-   returns; [None] when a write finished since the snapshot's epoch or is
-   in progress.  [traverse] must only collect: it runs while every writer
-   waits, so it may neither write nor run a caller's callback. *)
-let exclusive_read traverse =
-  Atomic.incr readers;
-  if Atomic.get writers = 0 && Atomic.get write_epoch = current_epoch ()
-  then begin
-    let r = Fun.protect ~finally:(fun () -> Atomic.decr readers) traverse in
-    Atomic.incr fast_reads;
-    Some r
-  end
-  else begin
-    Atomic.decr readers;
-    Atomic.incr fallback_reads;
-    None
-  end
+(* --- versioned tuples and the write-side hooks ----------------------------- *)
 
-(* --- write-side hooks --------------------------------------------------- *)
-
-(* A relation's membership view: every tuple a snapshot scan may need to
-   consider, including tuples already physically deleted whose versions
-   old snapshots can still see.  [size] is the (approximate) entry count
-   including such dead entries — the sweep trigger compares it against
-   the relation's live count. *)
-type view = {
-  tuples : Value.tuple list Atomic.t;
-  size : int Atomic.t;
+(* A relation's versioned tuples: those with a non-empty chain, including
+   deleted tuples that a live snapshot may still see.  Only changed
+   under a write mark, and only read by a snapshot read under the drain
+   ({!exclusive_read}), so plain fields suffice. *)
+type versioned = {
+  mutable tuples : Value.tuple list;
+  mutable size : int;
+  mutable after_gc : int;  (** [size] after the latest GC pass *)
 }
 
-let make_view () = { tuples = Atomic.make []; size = Atomic.make 0 }
-
-let view_size view = Atomic.get view.size
+let make_versioned () = { tuples = []; size = 0; after_gc = 0 }
 
 (* Pending intents of the current deferred write scope, newest first.
    [P_insert]/[P_update] record pushed (still unstamped) versions;
    [P_delete] records the head version whose [v_end] publish will stamp. *)
 type pending_op =
-  | P_insert of { view : view; t : Value.tuple; pushed : Value.version }
+  | P_insert of { vl : versioned; pushed : Value.version }
   | P_update of {
+      vl : versioned;
       t : Value.tuple;
       pushed : Value.version;
       superseded : Value.version;
     }
-  | P_delete of { view : view; t : Value.tuple; head : Value.version }
+  | P_delete of { vl : versioned; head : Value.version }
 
 type scope = { mutable ops : pending_op list }
 
 let scope_key : scope option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-(* While set, hooks maintain view membership only — used when [Txn]
-   physically unwinds a failed commit whose version intents were already
-   rolled back. *)
+let in_scope () = Domain.DLS.get scope_key <> None
+
+(* While set, hooks record nothing — used when [Txn] physically unwinds
+   a failed commit whose version intents were already rolled back. *)
 let suppress_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let view_add view (t : Value.tuple) =
-  let rec go () =
-    let cur = Atomic.get view.tuples in
-    if not (Atomic.compare_and_set view.tuples cur (t :: cur)) then go ()
-  in
-  go ();
-  Atomic.incr view.size
+(* Every writer of a list or of a chain's emptiness holds the mark. *)
+let set_tuples vl tuples size =
+  ignore (Atomic.fetch_and_add versioned_tuples (size - vl.size));
+  vl.tuples <- tuples;
+  vl.size <- size
 
-let view_remove view (t : Value.tuple) =
-  let rec go () =
-    let cur = Atomic.get view.tuples in
-    let next = List.filter (fun (u : Value.tuple) -> u != t) cur in
-    if not (Atomic.compare_and_set view.tuples cur next) then go ()
-    else if List.length next < List.length cur then Atomic.decr view.size
-  in
-  go ()
-
-let push_version (t : Value.tuple) v =
+let push_version vl (t : Value.tuple) v =
+  if t.Value.vers.Value.vs = [] then set_tuples vl (t :: vl.tuples) (vl.size + 1);
   t.Value.vers.Value.vs <- v :: t.Value.vers.Value.vs;
   Atomic.incr versions_created
 
 (* Synthesize a committed base version for a tuple about to receive its
    first versioned mutation: pre-change fields, visible since the dawn of
    time — exactly what the empty-chain rule already granted it. *)
-let ensure_base (t : Value.tuple) ~pre_fields =
+let ensure_base vl (t : Value.tuple) =
   if t.Value.vers.Value.vs = [] then
-    push_version t
-      { Value.v_fields = pre_fields; v_begin = 0; v_end = unstamped }
+    push_version vl t
+      { Value.v_fields = Array.copy t.Value.fields; v_begin = 0; v_end = unstamped }
 
-let fresh_version fields ~v_begin =
-  { Value.v_fields = fields; v_begin; v_end = unstamped }
+(* The live fields as a version no snapshot sees until publish. *)
+let pending (t : Value.tuple) =
+  { Value.v_fields = Array.copy t.Value.fields; v_begin = unstamped; v_end = unstamped }
 
-(* A tombstone marks a lazily deleted tuple awaiting GC sweep: invisible
-   to every snapshot, and non-empty so the empty-chain rule cannot
-   resurrect it. *)
-let tombstone () = { Value.v_fields = [||]; v_begin = unstamped; v_end = 0 }
-
-let live_fields (t : Value.tuple) = Array.copy t.Value.fields
-
-(* Immediate mode stamps at a timestamp of its own per operation
-   ({!stamp_with}) so that an already registered snapshot orders strictly
-   before the change. *)
-
-let in_scope () = Domain.DLS.get scope_key <> None
-
-(* Whether version records must be materialized right now: always inside
-   a deferred scope (a concurrent snapshot may start at any moment);
-   outside one, only when a snapshot is actually live or the tuple is
-   already versioned (lazy immediate mode). *)
-
-let on_insert view (t : Value.tuple) =
-  if enabled () then
-    if Domain.DLS.get suppress_key then view_add view t
-    else
-      match Domain.DLS.get scope_key with
-      | Some scope ->
-          let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
-          push_version t pushed;
-          view_add view t;
-          scope.ops <- P_insert { view; t; pushed } :: scope.ops
-      | None ->
-          (* Lazy: an empty chain is visible to later snapshots exactly
-             like a version stamped at commit would be; snapshots that
-             are already live cannot race single-threaded immediate
-             writers (unsupported without a scope). *)
-          if live_snapshots () > 0 then
-            stamp_with (fun ts ->
-                push_version t (fresh_version (live_fields t) ~v_begin:ts));
-          view_add view t
-
-(* Called after the live fields changed; {!prepare_update} ran before. *)
-let on_update (t : Value.tuple) =
+(* The write scope a hook records into: none with MVCC off, during a
+   failed commit's unwind, or outside a scope — lazy mode, where an
+   unversioned tuple reads the same through the live index at every
+   later snapshot ({!mutating} opens a scope whenever that would not
+   hold). *)
+let recording () =
   if enabled () && not (Domain.DLS.get suppress_key) then
-    match Domain.DLS.get scope_key with
-    | Some scope -> (
-        match t.Value.vers.Value.vs with
-        | superseded :: _ ->
-            let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
-            push_version t pushed;
-            scope.ops <- P_update { t; pushed; superseded } :: scope.ops
-        | [] ->
-            (* unreachable after {!prepare_update}; fall back to a bare
-               current version *)
-            let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
-            push_version t pushed;
-            scope.ops <-
-              P_update { t; pushed; superseded = pushed } :: scope.ops)
-    | None ->
-        if live_snapshots () > 0 then
-          stamp_with (fun ts ->
-              (match t.Value.vers.Value.vs with
-              | head :: _ -> head.Value.v_end <- ts
-              | [] -> ());
-              push_version t (fresh_version (live_fields t) ~v_begin:ts))
-        else if t.Value.vers.Value.vs <> [] then
-          (* no live snapshot can need history: collapse to one version *)
-          stamp_with (fun ts ->
-              t.Value.vers.Value.vs <-
-                [ fresh_version (live_fields t) ~v_begin:ts ])
+    Domain.DLS.get scope_key
+  else None
 
-let on_delete view (t : Value.tuple) =
-  if enabled () then
-    if Domain.DLS.get suppress_key then view_remove view t
-    else
-      match Domain.DLS.get scope_key with
-      | Some scope ->
-          ensure_base t ~pre_fields:(live_fields t);
-          (match t.Value.vers.Value.vs with
-          | head :: _ -> scope.ops <- P_delete { view; t; head } :: scope.ops
-          | [] -> assert false (* ensure_base just pushed *))
-      | None ->
-          if live_snapshots () > 0 then begin
-            ensure_base t ~pre_fields:(live_fields t);
-            stamp_with (fun ts ->
-                match t.Value.vers.Value.vs with
-                | head :: _ -> head.Value.v_end <- ts
-                | [] -> ())
-          end
-          else
-            (* lazy: tombstone now (O(1)), swept from the view by GC *)
-            t.Value.vers.Value.vs <- [ tombstone () ]
+let on_insert vl (t : Value.tuple) =
+  match recording () with
+  | None -> ()
+  | Some scope ->
+      let pushed = pending t in
+      push_version vl t pushed;
+      scope.ops <- P_insert { vl; pushed } :: scope.ops
 
 (* Called before an update changes the live fields: a tuple's first
    versioned mutation gets its base version — the unchanged fields —
    now, since a snapshot reads an empty chain through the live fields,
    which are about to hold uncommitted values.  The lock-only path (and
-   lazy immediate mode) never pays the copy. *)
-let prepare_update (t : Value.tuple) =
-  if
-    enabled ()
-    && (not (Domain.DLS.get suppress_key))
-    && t.Value.vers.Value.vs = []
-    && (in_scope () || live_snapshots () > 0)
-  then ensure_base t ~pre_fields:(live_fields t)
+   lazy mode) never pays the copy. *)
+let prepare_update vl (t : Value.tuple) =
+  if recording () <> None then ensure_base vl t
+
+(* Called after the live fields changed; {!prepare_update} ran before. *)
+let on_update vl (t : Value.tuple) =
+  match recording () with
+  | None -> ()
+  | Some scope ->
+      let superseded = List.hd t.Value.vers.Value.vs in
+      let pushed = pending t in
+      push_version vl t pushed;
+      scope.ops <- P_update { vl; t; pushed; superseded } :: scope.ops
+
+(* Called after the tuple left every index. *)
+let on_delete vl (t : Value.tuple) =
+  match recording () with
+  | None -> ()
+  | Some scope ->
+      ensure_base vl t;
+      let head = List.hd t.Value.vers.Value.vs in
+      scope.ops <- P_delete { vl; head } :: scope.ops
+
+(* --- garbage collection ------------------------------------------------- *)
+
+let rec resolve (t : Value.tuple) =
+  match t.Value.forward with None -> t | Some f -> resolve f
+
+(* Prune one relation's versioned tuples down to [horizon], in O(d) for d
+   listed tuples.  Versions dead at the horizon ([v_end <= h]) are
+   unreachable by every live and future snapshot; a tuple whose newest
+   version is dead is swept from the list.  A chain whose only version
+   began at or below the horizon, is still current and holds the live
+   fields collapses to empty and leaves the list: every live and future
+   snapshot sees exactly the live tuple.  The caller holds the write
+   mark, so no snapshot read captures the list between its index pass
+   and its list pass; readers resolving chains outside the drain stay
+   safe because pruning only republishes fresh list spines and
+   collapsing only drops a version equal to the live state.  Must run
+   serialized with the writer.  Returns the number of version records
+   reclaimed. *)
+let prune vl ~horizon:h =
+  ignore (Atomic.fetch_and_add gc_visited vl.size);
+  let reclaimed = ref 0 and swept = ref 0 and longest = ref 0 and kept = ref 0 in
+  (* A swept tuple keeps its (dead) chain — dangling [Ref]s may still
+     resolve old fields through it, and the OCaml GC reclaims it with
+     the tuple once unreachable. *)
+  let keep (t : Value.tuple) =
+    match t.Value.vers.Value.vs with
+    | [] -> false
+    | head :: _ as vs when head.Value.v_end <= h ->
+        (* dead at the horizon: no live or future snapshot sees it *)
+        reclaimed := !reclaimed + List.length vs;
+        incr swept;
+        false
+    | vs -> (
+        let rec prune = function
+          | [] -> []
+          | v :: rest ->
+              if v.Value.v_end <= h then begin
+                (* invisible at the horizon — and every older version
+                   ends at or before this one's beginning *)
+                reclaimed := !reclaimed + 1 + List.length rest;
+                []
+              end
+              else v :: prune rest
+        in
+        match prune vs with
+        | [ v ]
+          when v.Value.v_begin <= h && v.Value.v_end = unstamped
+               && Array.for_all2 ( == ) v.Value.v_fields (resolve t).Value.fields
+          ->
+            incr reclaimed;
+            t.Value.vers.Value.vs <- [];
+            false
+        | pruned ->
+            let n = List.length pruned in
+            longest := max !longest n;
+            if n <> List.length vs then t.Value.vers.Value.vs <- pruned;
+            incr kept;
+            true)
+  in
+  let tuples = List.filter keep vl.tuples in
+  set_tuples vl tuples !kept;
+  vl.after_gc <- !kept;
+  Atomic.set last_horizon h;
+  Atomic.incr gc_runs;
+  if !swept > 0 then ignore (Atomic.fetch_and_add tuples_swept !swept);
+  (let rec raise_max () =
+     let cur = Atomic.get max_chain in
+     if !longest > cur && not (Atomic.compare_and_set max_chain cur !longest)
+     then raise_max ()
+   in
+   raise_max ());
+  (let n = !reclaimed in
+   if n > 0 then ignore (Atomic.fetch_and_add versions_reclaimed n);
+   n)
+
+(* The epoch GC's pass over one relation ([Mvcc.gc]; the server runs it
+   on the dispatcher domain, serialized with the writer). *)
+let gc_versioned vl ~horizon = writing (fun () -> prune vl ~horizon)
+
+(* A write scope prunes each list it grew to more than twice its size
+   after the previous pass (plus a floor) once it published: d stays
+   bounded where no epoch GC runs (embedded use), and each pass is paid
+   for by the insertions since the last, so writes stay O(1)
+   amortized. *)
+let prune_grown ops =
+  let grown vl = vl.size > (2 * vl.after_gc) + 64 in
+  List.iter
+    (fun op ->
+      match op with
+      | P_insert { vl; _ } | P_update { vl; _ } | P_delete { vl; _ } ->
+          if grown vl then ignore (gc_versioned vl ~horizon:(horizon ())))
+    ops
 
 (* --- deferred publication ---------------------------------------------- *)
 
@@ -482,191 +476,166 @@ let publish scope =
         ops;
       scope.ops <- []
 
-(* Erase every pending intent (a failed commit): pushed versions pop,
-   the view forgets uncommitted inserts, and a deleted tuple's history
-   is abandoned — the physical unwind that follows (under {!suppressed})
-   re-inserts the row as a fresh, empty-chain (visible-to-all) record. *)
+(* Erase every pending intent (a failed commit).  A reader past its
+   drain may still resolve the chains, so none may turn visible, and
+   none may lose history: an insert's version stays on its chain, dead,
+   until the GC sweeps the unwound tuple; an update's pushed version
+   dies and pops, leaving what it superseded (whose [v_end] publish never
+   stamped); a delete's head was never stamped either, and the physical
+   unwind puts the same record back ([Relation.undelete]). *)
 let rollback scope =
   List.iter
     (fun op ->
       match op with
-      | P_insert { view; t; pushed } ->
-          view_remove view t;
-          (match t.Value.vers.Value.vs with
-          | head :: rest when head == pushed -> t.Value.vers.Value.vs <- rest
-          | _ -> ())
-      | P_update { t; pushed; superseded = _ } -> (
-          (* [superseded.v_end] was never stamped (publish did not run),
-             so there is nothing to restore on it *)
-          pushed.Value.v_end <- 0 (* dead, in case it is not the head *);
+      | P_insert { pushed; _ } -> pushed.Value.v_end <- 0
+      | P_update { t; pushed; _ } -> (
+          pushed.Value.v_end <- 0;
           match t.Value.vers.Value.vs with
           | head :: rest when head == pushed -> t.Value.vers.Value.vs <- rest
           | _ -> ())
-      | P_delete { view; t; head } ->
-          head.Value.v_end <- unstamped;
-          view_remove view t;
-          t.Value.vers.Value.vs <- [])
+      | P_delete _ -> ())
     scope.ops;
   scope.ops <- []
 
 (* Run [f] as one deferred write scope: its mutations stamp atomically
-   at scope exit.  The scope holds the write mark from its start until
-   after {!publish}: between two operations of one scope the index
-   already lacks what a live snapshot still sees.  With MVCC off the
-   hooks record nothing, so only the mark remains. *)
+   at scope exit.  The scope holds no mark of its own: each of its
+   operations holds one ({!writing}), and between two of them every
+   tuple the scope touched is versioned and listed, with versions that
+   no snapshot taken before the publish can see — so the live index and
+   the lists still read as the state before the scope.  With MVCC off
+   the hooks record nothing. *)
 let with_write f =
   if in_scope () then f ()
-  else
-    marked (fun () ->
-        let scope = { ops = [] } in
-        Domain.DLS.set scope_key (Some scope);
-        Fun.protect
-          ~finally:(fun () ->
-            Domain.DLS.set scope_key None;
-            publish scope)
-          f)
+  else begin
+    let scope = { ops = [] } in
+    Domain.DLS.set scope_key (Some scope);
+    Fun.protect
+      ~finally:(fun () ->
+        Domain.DLS.set scope_key None;
+        let ops = scope.ops in
+        publish scope;
+        prune_grown ops)
+      f
+  end
 
-(* Hold the write mark around one index-mutating operation, unless the
-   enclosing write scope already holds it. *)
-let writing f = if in_scope () then f () else marked f
+(* One index-mutating operation of [Relation], under the write mark.
+   Outside a write scope it runs in a scope of its own when the change
+   can matter to a snapshot — one is live, or the tuple is [versioned]
+   already — and lazily (recording nothing) otherwise.  A snapshot
+   acquired while a lazy operation runs is not supported: writes that
+   race snapshots belong in a scope. *)
+let mutating ~versioned f =
+  if enabled () && (not (in_scope ())) && (versioned || live_snapshots () > 0)
+  then with_write (fun () -> writing f)
+  else writing f
 
-(* Roll back the current scope's intents (called by [Txn] before it
-   physically unwinds a failed commit). *)
-let rollback_pending () =
-  match Domain.DLS.get scope_key with
-  | Some scope -> rollback scope
-  | None -> ()
+(* A failed commit: under one mark, roll back the current scope's
+   intents and run [unwind], the physical undo, with the hooks off.  No
+   snapshot read may see the rolled-back chains before the undo, nor
+   the reverse. *)
+let rollback_pending unwind =
+  writing (fun () ->
+      Option.iter rollback (Domain.DLS.get scope_key);
+      let was = Domain.DLS.get suppress_key in
+      Domain.DLS.set suppress_key true;
+      Fun.protect
+        ~finally:(fun () -> Domain.DLS.set suppress_key was)
+        unwind)
 
-(* Run [f] with version hooks reduced to view maintenance. *)
-let suppressed f =
-  let was = Domain.DLS.get suppress_key in
-  Domain.DLS.set suppress_key true;
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set suppress_key was)
-    f
+(* --- snapshot reads -------------------------------------------------------- *)
+
+(* Run [traverse] over the live index structures of a relation with
+   list [vl] while no write mark is held, keeping marks out until it
+   returns, and hand back its result with the list as it stood.  A held
+   mark is waited out: one write operation holds it for microseconds.
+   [traverse] runs with no snapshot installed, so index comparisons read
+   the live fields the index is ordered by.  It must only collect: it
+   runs while every writer waits, so it may neither write nor run a
+   caller's callback. *)
+let exclusive_read vl traverse =
+  Atomic.incr snapshot_reads;
+  Atomic.incr readers;
+  if Atomic.get writers > 0 then begin
+    (* Counted in [waiting] until counted in [readers] again with no
+       mark held, so that the releasing writer lets it in first. *)
+    Atomic.incr waited_reads;
+    Atomic.incr waiting;
+    let rec retry () =
+      Atomic.decr readers;
+      await (fun () -> Atomic.get writers = 0);
+      Atomic.incr readers;
+      if Atomic.get writers > 0 then retry ()
+    in
+    retry ();
+    Atomic.decr waiting
+  end;
+  let outer = Domain.DLS.get current_key in
+  Domain.DLS.set current_key None;
+  let leave () =
+    Domain.DLS.set current_key outer;
+    Atomic.decr readers
+  in
+  match traverse () with
+  | r ->
+      let tuples = vl.tuples in
+      leave ();
+      (r, tuples)
+  | exception e ->
+      leave ();
+      raise e
 
 (* --- read-side resolution ---------------------------------------------- *)
 
-(* The newest version begun at or before [s], walking the (newest-first)
-   chain.  Chains are short — GC prunes below the horizon — so the walk
-   is a few pointer chases. *)
-let version_at (t : Value.tuple) s =
-  let walked = Domain.DLS.get versions_walked_key in
-  let rec go = function
-    | [] -> None
-    | v :: rest ->
-        incr walked;
-        if v.Value.v_begin <= s then Some v else go rest
-  in
-  go t.Value.vers.Value.vs
+(* Walks of the newest-first chain [vs] for the newest version begun at
+   or before [s], counting each version passed in [walked].  Chains are
+   short — GC prunes below the horizon — so a walk is a few pointer
+   chases.  Callers load the chain once and pass it: a second load may
+   find it collapsed or pruned.  Top-level and option-free, so a walk
+   allocates nothing. *)
+let rec fields_in walked s live = function
+  | [] -> live (* inserted after [s] *)
+  | v :: rest ->
+      incr walked;
+      if v.Value.v_begin <= s then v.Value.v_fields else fields_in walked s live rest
 
-(* Field array to read under the active snapshot, or [None] to read the
-   live fields (no snapshot, or the tuple is unversioned).  Exposed for
-   {!Tuple.get}; the per-version visibility filter for scans is
-   {!visible_at}. *)
-let snapshot_fields (t : Value.tuple) =
-  match Domain.DLS.get current_key with
-  | None -> None
-  | Some s -> (
-      match t.Value.vers.Value.vs with
-      | [] -> None
-      | _ -> (
-          match version_at t s with
-          | Some v -> Some v.Value.v_fields
-          | None -> None (* inserted after [s]: fall back to live *)))
+let rec visible_in walked s keep = function
+  | [] -> false (* inserted after [s] *)
+  | v :: rest ->
+      incr walked;
+      if v.Value.v_begin <= s then v.Value.v_end > s && keep v.Value.v_fields
+      else visible_in walked s keep rest
 
-(* Like {!snapshot_fields} but with the snapshot supplied by the caller:
-   scan loops capture the domain-local snapshot once and resolve every
-   tuple against it, instead of paying a DLS read per field access. *)
+(* The field array [t] (resolved) has at snapshot [s].  The live array
+   is loaded before the chain: a writer pushes a tuple's base version
+   before it replaces the live array (copy-on-write, [Tuple.update]), so
+   a chain found empty after the load means the loaded array is what
+   every live snapshot sees.  Scan loops capture the domain-local
+   snapshot once and call this per tuple. *)
 let fields_at s (t : Value.tuple) =
+  let live = t.Value.fields in
   match t.Value.vers.Value.vs with
-  | [] -> t.Value.fields
-  | _ -> (
-      match version_at t s with
-      | Some v -> v.Value.v_fields
-      | None -> t.Value.fields)
+  | [] -> live
+  | vs -> fields_in (Domain.DLS.get versions_walked_key) s live vs
 
-let visible_at s (t : Value.tuple) =
-  match t.Value.vers.Value.vs with
-  | [] -> true (* predates versioning *)
-  | _ -> (
-      match version_at t s with
-      | Some v -> v.Value.v_end > s
-      | None -> false (* inserted after the snapshot *))
+(* The field array to read under the active snapshot, if any: what
+   [Tuple.get] indexes. *)
+let current_fields (t : Value.tuple) =
+  match Domain.DLS.get current_key with
+  | None -> t.Value.fields
+  | Some s -> fields_at s t
 
-(* Whether [t] (resolved) is visible at [s] with fields that satisfy
-   [keep]: a view scan's filter, in one walk of the chain. *)
-let visible_where s keep (t : Value.tuple) =
-  match t.Value.vers.Value.vs with
-  | [] -> keep t.Value.fields
-  | _ -> (
-      match version_at t s with
-      | Some v -> v.Value.v_end > s && keep v.Value.v_fields
-      | None -> false)
-
-(* --- garbage collection ------------------------------------------------- *)
-
-(* Prune one relation view down to [horizon]: versions dead at the
-   horizon ([v_end <= h]) are unreachable by every live and future
-   snapshot; a tuple whose newest version is dead is dropped from the
-   view outright.  Must run serialized with the writer (the server runs
-   it on the dispatcher domain); concurrent readers are safe because
-   pruning only republishes fresh list spines — never mutates a version
-   a reader can hold.  Returns the number of version records reclaimed. *)
-let gc_view view ~horizon:h =
-  let reclaimed = ref 0 and swept = ref 0 and longest = ref 0 in
-  (* [keep_tuple] must be safe to re-run if the CAS below retries: it
-     never destroys the information its own decision depends on.  A
-     swept tuple keeps its (dead) chain — dangling [Ref]s may still
-     resolve old fields through it, and the OCaml GC reclaims it with
-     the tuple once unreachable. *)
-  let keep_tuple (t : Value.tuple) =
-    match t.Value.vers.Value.vs with
-    | [] -> true
-    | head :: _ when head.Value.v_end <= h ->
-        (* dead at the horizon: no live or future snapshot sees it *)
-        reclaimed := !reclaimed + List.length t.Value.vers.Value.vs;
-        incr swept;
-        false
-    | vs ->
-        let rec prune = function
-          | [] -> []
-          | v :: rest ->
-              if v.Value.v_end <= h then begin
-                (* invisible at the horizon — and every older version
-                   ends at or before this one's beginning *)
-                reclaimed := !reclaimed + 1 + List.length rest;
-                []
-              end
-              else v :: prune rest
-        in
-        let pruned = prune vs in
-        longest := max !longest (List.length pruned);
-        if List.length pruned <> List.length vs then
-          t.Value.vers.Value.vs <- pruned;
-        true
-  in
-  let rec swap () =
-    reclaimed := 0;
-    swept := 0;
-    longest := 0;
-    let cur = Atomic.get view.tuples in
-    let next = List.filter keep_tuple cur in
-    if not (Atomic.compare_and_set view.tuples cur next) then swap ()
-    else Atomic.set view.size (List.length next)
-  in
-  swap ();
-  Atomic.incr gc_runs;
-  if !swept > 0 then ignore (Atomic.fetch_and_add tuples_swept !swept);
-  (let rec raise_max () =
-     let cur = Atomic.get max_chain in
-     if !longest > cur && not (Atomic.compare_and_set max_chain cur !longest)
-     then raise_max ()
-   in
-   raise_max ());
-  (let n = !reclaimed in
-   if n > 0 then ignore (Atomic.fetch_and_add versions_reclaimed n);
-   n)
+(* The tuples of [tuples] visible at [s] whose fields there satisfy
+   [keep]: a snapshot read's pass over its relation's versioned tuples. *)
+let visible_of s keep tuples =
+  let walked = Domain.DLS.get versions_walked_key in
+  List.filter
+    (fun t ->
+      let t = resolve t in
+      let live = t.Value.fields in
+      match t.Value.vers.Value.vs with
+      | [] -> keep live
+      | vs -> visible_in walked s keep vs)
+    tuples
 
 (* --- stats -------------------------------------------------------------- *)
 
@@ -681,8 +650,11 @@ type stats = {
   st_versions_reclaimed : int;
   st_tuples_swept : int;
   st_max_chain : int;
-  st_fast_reads : int;
-  st_fallback_reads : int;
+  st_versioned_tuples : int;  (** over every relation's list *)
+  st_horizon_lag : int;  (** commits since the latest GC pass's horizon *)
+  st_gc_visited : int;
+  st_snapshot_reads : int;
+  st_waited_reads : int;
 }
 
 let stats () =
@@ -699,6 +671,9 @@ let stats () =
     st_versions_reclaimed = Atomic.get versions_reclaimed;
     st_tuples_swept = Atomic.get tuples_swept;
     st_max_chain = Atomic.get max_chain;
-    st_fast_reads = Atomic.get fast_reads;
-    st_fallback_reads = Atomic.get fallback_reads;
+    st_versioned_tuples = Atomic.get versioned_tuples;
+    st_horizon_lag = max 0 (ts - Atomic.get last_horizon);
+    st_gc_visited = Atomic.get gc_visited;
+    st_snapshot_reads = Atomic.get snapshot_reads;
+    st_waited_reads = Atomic.get waited_reads;
   }

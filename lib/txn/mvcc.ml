@@ -2,7 +2,7 @@
     {!Mmdb_storage.Version_store}.
 
     The storage module owns the mechanism — the commit clock, version
-    chains, snapshot registry and per-view GC.  This module packages it
+    chains, snapshot registry and per-relation GC.  This module packages it
     for the layers above: statement-scoped snapshots for anything
     [Ast.is_read_only], and an epoch GC pass over a whole set of
     relations.  Writes publish through the deferred write scope that
@@ -26,15 +26,15 @@ let versions_walked = Version_store.versions_walked
 
 (* One epoch GC pass: compute the horizon once — the oldest timestamp
    any live (or future) snapshot can hold — and prune every relation's
-   view down to it.  Must run where writes are serialized (the server
-   calls it from the dispatcher domain after write statements).
-   Returns the number of version records reclaimed. *)
+   versioned tuples down to it, in O(d) for d versioned tuples.  Must
+   run where writes are serialized (the server calls it from the
+   dispatcher domain after write statements).  Returns the number of
+   version records reclaimed. *)
 let gc rels =
   if not (Version_store.enabled ()) then 0
   else begin
     let horizon = Version_store.horizon () in
     List.fold_left
-      (fun n rel ->
-        n + Version_store.gc_view (Relation.view rel) ~horizon)
+      (fun n rel -> n + Relation.gc rel ~horizon)
       0 rels
   end

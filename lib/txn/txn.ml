@@ -175,7 +175,7 @@ let abort t =
 (* Inverse operations for unwinding a partially applied commit. *)
 type applied =
   | A_inserted of string * Tuple.t
-  | A_deleted of string * Value.t array
+  | A_deleted of string * Tuple.t
   | A_updated of string * Tuple.t * int * Value.t  (** old value *)
 
 let undo mgr = function
@@ -183,9 +183,9 @@ let undo mgr = function
       match relation mgr rel with
       | Some r -> ignore (Relation.delete_tuple r tuple)
       | None -> ())
-  | A_deleted (rel, values) -> (
+  | A_deleted (rel, tuple) -> (
       match relation mgr rel with
-      | Some r -> ignore (Relation.insert r values)
+      | Some r -> ignore (Relation.undelete r tuple)
       | None -> ())
   | A_updated (rel, tuple, col, old_v) -> (
       match relation mgr rel with
@@ -225,12 +225,11 @@ let commit t =
                 match find_rel t.mgr rel with
                 | Error f -> Error (Fmt.str "%a" pp_failure f, applied)
                 | Ok r ->
-                    let values = Tuple.fields tuple in
                     let pid = (Tuple.resolve tuple).Value.pid in
                     if Relation.delete_tuple r tuple then begin
                       Log_buffer.append t.mgr.buffer ~txn:t.id ~rel ~pid
                         (Log_record.Delete { tid = Tuple.id tuple });
-                      apply (A_deleted (rel, values) :: applied) rest
+                      apply (A_deleted (rel, tuple) :: applied) rest
                     end
                     else Error ("tuple already gone", applied))
             | W_update { rel; tuple; col; value } -> (
@@ -254,12 +253,11 @@ let commit t =
       in
       match apply [] ops with
       | Error (msg, applied) ->
-          (* Discard the MVCC intents first — the versions pushed by the
+          (* Discard the MVCC intents — the versions pushed by the
              partial apply were never published, so popping them leaves no
-             trace — then physically unwind with the hooks suppressed (the
-             unwind must maintain view membership but record no history). *)
-          Version_store.rollback_pending ();
-          Version_store.suppressed (fun () ->
+             trace — and physically unwind with the hooks off, under one
+             write mark. *)
+          Version_store.rollback_pending (fun () ->
               List.iter (undo t.mgr) applied);
           abort t;
           Error msg

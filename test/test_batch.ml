@@ -289,7 +289,6 @@ let on_writer_domain f = Domain.join (Domain.spawn f)
 let test_mvcc_batched_scan () =
   with_mvcc @@ fun () ->
   let r1, _ = make_pair ~seed:301 () in
-  Relation.ensure_view r1;
   let predicates =
     [ Select.Between (Workload.jcol, Value.Int 0, Value.Int 500_000_000) ]
   in
@@ -322,7 +321,6 @@ let test_mvcc_batched_scan_visibility () =
   with_mvcc @@ fun () ->
   let rng = Rng.create ~seed:302 () in
   let r = Workload.load ~name:"V" (Workload.column rng ~spec:(spec 2_000 0.0)) in
-  Relation.ensure_view r;
   let all = [ Select.Between (Workload.seq_col, Value.Int 0, Value.Int max_int) ] in
   with_batch ~size:256 @@ fun () ->
   with_pool 4 @@ fun pool ->
@@ -356,8 +354,6 @@ let test_mvcc_batched_scan_visibility () =
 let test_mvcc_batched_join () =
   with_mvcc @@ fun () ->
   let r1, r2 = make_pair ~seed:303 () in
-  Relation.ensure_view r1;
-  Relation.ensure_view r2;
   let outer = { Join.rel = r1; col = Workload.jcol } in
   let inner = { Join.rel = r2; col = Workload.jcol } in
   Version_store.with_snapshot (fun _ ->

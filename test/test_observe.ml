@@ -329,7 +329,9 @@ let pinned_stats_paths =
     "latency.max_ms"; "mvcc.enabled"; "mvcc.commit_ts";
     "mvcc.snapshots_taken"; "mvcc.live_snapshots"; "mvcc.oldest_snapshot_age";
     "mvcc.gc_runs"; "mvcc.versions_created"; "mvcc.versions_reclaimed";
-    "mvcc.tuples_swept"; "mvcc.max_chain"; "batch.enabled"; "batch.size";
+    "mvcc.tuples_swept"; "mvcc.max_chain"; "mvcc.versioned_tuples";
+    "mvcc.horizon_lag"; "snapshot_reads.n"; "snapshot_reads.waited";
+    "batch.enabled"; "batch.size";
     "batch.batches"; "batch.rows"; "batch.join_role_reversals";
     "by_kind.select.n"; "by_kind.select.p50_ms"; "by_kind.select.p99_ms";
     "by_kind.select.max_ms"; "by_kind.insert.n"; "by_kind.insert.p50_ms";
@@ -381,6 +383,10 @@ let pinned_families =
     ("mmdb_mvcc_gc_runs_total", "counter", []);
     ("mmdb_mvcc_versions_created_total", "counter", []);
     ("mmdb_mvcc_versions_reclaimed_total", "counter", []);
+    ("mmdb_mvcc_versioned_tuples", "gauge", []);
+    ("mmdb_mvcc_horizon_lag", "gauge", []);
+    ("mmdb_snapshot_reads_total", "counter", []);
+    ("mmdb_snapshot_reads_waited_total", "counter", []);
     ("mmdb_batch_enabled", "gauge", []);
     ("mmdb_batches_total", "counter", []);
     ("mmdb_batch_rows_total", "counter", []);
@@ -655,9 +661,9 @@ let connect srv =
 
 (* --- snapshot read paths ------------------------------------------------- *)
 
-(* With no writer anywhere, every snapshot read entry walks the live
-   index: a served point read that silently fell back to the membership
-   view would show in the fallback count. *)
+(* With no writer anywhere, a cached served point read makes exactly one
+   snapshot read entry (planning reads cardinalities, not snapshot
+   counts), and none of them waits on a write mark. *)
 let test_point_reads_fast_path () =
   let config =
     {
@@ -677,26 +683,29 @@ let test_point_reads_fast_path () =
       for i = 1 to 200 do
         ignore (expect_ok c (Printf.sprintf "INSERT INTO KV VALUES (%d, %d);" i i))
       done;
-      let reads path =
+      let reads key =
         match J.parse (Server.stats_json_text srv) with
         | Ok j ->
-            Option.bind (J.member "snapshot_reads" j) (J.member path)
-            |> Fun.flip Option.bind (J.member "n")
+            Option.bind (J.member "snapshot_reads" j) (J.member key)
             |> Fun.flip Option.bind J.to_int_opt
             |> Option.value ~default:(-1)
         | Error e -> Alcotest.fail e
       in
-      let fast0 = reads "fast" and fallback0 = reads "fallback" in
-      for i = 1 to 100 do
+      let select i =
         match expect_ok c (Printf.sprintf "SELECT V FROM KV WHERE K = %d;" i) with
         | Protocol.Results { rows = [ [| Mmdb_storage.Value.Int v |] ]; _ } ->
             Alcotest.(check int) "the row read" i v
         | r -> Alcotest.failf "unexpected reply %a" Protocol.pp_response r
+      in
+      (* the first read fills the statement and statistics caches *)
+      select 1;
+      let n0 = reads "n" and waited0 = reads "waited" in
+      for i = 1 to 100 do
+        select i
       done;
-      Alcotest.(check int) "no point read fell back" 0
-        (reads "fallback" - fallback0);
-      Alcotest.(check bool) "every point read walked the live index" true
-        (reads "fast" - fast0 >= 100);
+      Alcotest.(check int) "one read entry per point read" 100 (reads "n" - n0);
+      Alcotest.(check int) "no point read waited on a write mark" 0
+        (reads "waited" - waited0);
       Client.close c)
 
 let test_capture_replay_e2e () =

@@ -140,7 +140,6 @@ let test_stats_snapshot_consistency () =
   with_mvcc @@ fun () ->
   Column_stats.reset ();
   let r = mk_kv () in
-  Relation.ensure_view r;
   for k = 1 to 64 do
     ignore (ins r k k)
   done;
@@ -466,7 +465,6 @@ let test_advisor_snapshot_guard () =
   with_mvcc @@ fun () ->
   let db = advisor_fixture () in
   with_planner true @@ fun () ->
-  List.iter Relation.ensure_view (Db.relations db);
   drive_scans db ~n:20 "Grp" 7;
   (* under a snapshot the run must refuse: an index built from the
      diverted scan would miss concurrently-live tuples *)
