@@ -127,15 +127,16 @@ let group tl ~by ~aggs =
   (* group key -> (key values, one state per aggregate), insertion-ordered *)
   let table : (Value.t array * state list) Key_table.t = Key_table.create 64 in
   let order = ref [] in
+  (* Fields are read through one reader taken here, uncounted; the
+     dereferences are charged once below, one per field read per row,
+     and the hash calls one per group. *)
+  let read = Temp_list.field_reader tl in
   Temp_list.iter tl (fun entry ->
-      let key_values =
-        List.map (fun i -> Temp_list.field_value tl entry i) key_fields
-      in
+      let key_values = List.map (fun i -> read entry i) key_fields in
       let _, states =
         match Key_table.find_opt table key_values with
         | Some v -> v
         | None ->
-            Mmdb_util.Counters.bump_hash_calls ();
             let v =
               (Array.of_list key_values, List.map (fun _ -> fresh_state ()) agg_fields)
             in
@@ -147,8 +148,14 @@ let group tl ~by ~aggs =
         (fun (_, field) st ->
           match field with
           | None -> accumulate st (Value.Int 1) (* COUNT: any value works *)
-          | Some i -> accumulate st (Temp_list.field_value tl entry i))
+          | Some i -> accumulate st (read entry i))
         agg_fields states);
+  let reads_per_row =
+    List.length key_fields
+    + List.length (List.filter (fun (_, field) -> field <> None) agg_fields)
+  in
+  Mmdb_util.Counters.bump_ptr_derefs ~n:(reads_per_row * Temp_list.length tl) ();
+  Mmdb_util.Counters.bump_hash_calls ~n:(Key_table.length table) ();
   let header = by @ List.map spec_header aggs in
   let finished_rows =
     List.rev_map

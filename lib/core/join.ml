@@ -88,23 +88,6 @@ type hcell = { hkey : Value.t; htup : Tuple.t; mutable hnext : hcell option }
    [Tuple.hash_on ~columns:[|c|]] is [17 * 31 + Value.hash v]. *)
 let hslot ~slots k = (527 + Value.hash k) land max_int mod slots
 
-(* Per-probe chain walk, counting as [Chained_hash.iter_matches] does:
-   one hash call and one dereference for the probe's hash, then one
-   comparison plus two dereferences per cell ([counting_cmp] over
-   [Tuple.compare_keyed]). *)
-let probe_chain table ~slots ko ~emit =
-  Counters.bump_hash_calls ();
-  Counters.bump_ptr_derefs ();
-  let rec walk = function
-    | None -> ()
-    | Some c ->
-        Counters.bump_comparisons ();
-        Counters.bump_ptr_derefs ~n:2 ();
-        if Value.compare ko c.hkey = 0 then emit c.htup;
-        walk c.hnext
-  in
-  walk table.(hslot ~slots ko)
-
 (* Matches collect in a fixed buffer that flushes into [out] in bulk:
    one quota charge and capacity check per flush instead of per pair.
    Flushing every 256 pairs doubled the partitioned join's time in
@@ -127,6 +110,20 @@ let pair_push pb o i =
   if pb.bn = Array.length pb.buf then pair_flush pb;
   pb.buf.(pb.bn) <- [| o; i |];
   pb.bn <- pb.bn + 1
+
+(* One probe's chain walk from [cell], counting as
+   [Chained_hash.iter_matches] does: one comparison plus two
+   dereferences per cell ([counting_cmp] over [Tuple.compare_keyed]).
+   Matches of probe tuple [tp] go to [pb], swapped back to (outer,
+   inner) when [rev] says the chains hold the outer tuples. *)
+let rec probe_chain (t : Counters.tally) pb ~rev ko tp = function
+  | None -> ()
+  | Some c ->
+      t.t_comparisons <- t.t_comparisons + 1;
+      t.t_ptr_derefs <- t.t_ptr_derefs + 2;
+      if Value.compare ko c.hkey = 0 then
+        if rev then pair_push pb c.htup tp else pair_push pb tp c.htup;
+      probe_chain t pb ~rev ko tp c.hnext
 
 (* One partition's (key, tuple) pairs in scan order, as two growable
    parallel arrays. *)
@@ -174,26 +171,30 @@ let partition ?filter ~deref ~n side =
   parts
 
 (* Build a value-carrying chain table of [slots] slots on [build] and
-   probe it with [probe]; [rev] means [build] holds the outer tuples, so
-   emission swaps back to (outer, inner).  The build charges the
-   Chained Bucket Hash insert per tuple: one hash call, one dereference,
-   one node and one data move. *)
-let build_probe ~emit ~slots ~rev build probe =
+   probe it with [probe], emitting into [pb]; [rev] means [build] holds
+   the outer tuples.  The build charges the Chained Bucket Hash insert
+   per tuple: one hash call, one dereference, one node and one data
+   move; each probe charges one hash call and one dereference for its
+   hash, then its chain walk.  One tally per call, published on the
+   domain that ran it, also when a flush raises [Quota_exceeded]. *)
+let build_probe pb ~slots ~rev build probe =
+  Counters.counting @@ fun t ->
   let nb = build.plen in
   let table = Array.make slots None in
-  Counters.bump_hash_calls ~n:nb ();
-  Counters.bump_ptr_derefs ~n:nb ();
-  Counters.bump_node_allocs ~n:nb ();
-  Counters.bump_data_moves ~n:nb ();
+  t.t_hash_calls <- nb;
+  t.t_ptr_derefs <- nb;
+  t.t_node_allocs <- nb;
+  t.t_data_moves <- nb;
   for i = 0 to nb - 1 do
     let k = build.pkeys.(i) in
     let s = hslot ~slots k in
     table.(s) <- Some { hkey = k; htup = build.ptups.(i); hnext = table.(s) }
   done;
   for i = 0 to probe.plen - 1 do
-    let t = probe.ptups.(i) in
-    probe_chain table ~slots probe.pkeys.(i) ~emit:(fun m ->
-        if rev then emit m t else emit t m)
+    let ko = probe.pkeys.(i) in
+    t.t_hash_calls <- t.t_hash_calls + 1;
+    t.t_ptr_derefs <- t.t_ptr_derefs + 1;
+    probe_chain t pb ~rev ko probe.ptups.(i) table.(hslot ~slots ko)
   done
 
 (* Below this combined cardinality the partitioned join loses to the
@@ -248,16 +249,15 @@ let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
   let bound = max skew_bound_floor (2 * total_inner / parts) in
   let join_part b out =
     let pb = pair_buf out in
-    let emit = pair_push pb in
     let i = inners.(b) and o = outers.(b) in
     if i.plen > 0 && o.plen > 0 then
       if build_outer then
-        build_probe ~emit ~slots:(slots outer o.plen) ~rev:true o i
+        build_probe pb ~slots:(slots outer o.plen) ~rev:true o i
       else if i.plen > bound && o.plen < i.plen then begin
         Atomic.incr role_reversals;
-        build_probe ~emit ~slots:(slots outer o.plen) ~rev:true o i
+        build_probe pb ~slots:(slots outer o.plen) ~rev:true o i
       end
-      else build_probe ~emit ~slots:(slots inner i.plen) ~rev:false i o;
+      else build_probe pb ~slots:(slots inner i.plen) ~rev:false i o;
     pair_flush pb
   in
   match pool with
@@ -356,36 +356,47 @@ let merge_sequences ~key_of1 ~key_of2 seq1 seq2 ~emit =
   in
   loop seq1 seq2
 
+(* The fill of the pair arrays, made once: [Array.make] runs a minor
+   collection first when its fill value is in the minor heap. *)
+let no_pair = (Value.Null, Tuple.filler)
+
 (* Merge join specialized to array indexes: "the array index holds a list
    of contiguous elements", so run rescans are integer cursor resets with
    no per-element allocation — the efficiency that lets Sort Merge win
-   high-output joins (Graphs 7/8) despite paying for its sort. *)
-let merge_arrays ~key1 ~key2 arr1 arr2 ~emit =
+   high-output joins (Graphs 7/8) despite paying for its sort.  Each key
+   read charges the dereference [Tuple.get] would pay, and each key
+   comparison one comparison, into [t]. *)
+let merge_pairs (t : Counters.tally) arr1 arr2 pb =
   let n1 = Array.length arr1 and n2 = Array.length arr2 in
+  let key arr i =
+    t.t_ptr_derefs <- t.t_ptr_derefs + 1;
+    fst arr.(i)
+  in
+  let cmp k1 k2 =
+    t.t_comparisons <- t.t_comparisons + 1;
+    Value.compare k1 k2
+  in
   let i = ref 0 and j = ref 0 in
   while !i < n1 && !j < n2 do
-    let c = vcmp (key1 arr1.(!i)) (key2 arr2.(!j)) in
+    let c = cmp (key arr1 !i) (key arr2 !j) in
     if c < 0 then incr i
     else if c > 0 then incr j
     else begin
-      let k = key1 arr1.(!i) in
+      let k = key arr1 !i in
       let j_end = ref !j in
-      while !j_end < n2 && vcmp (key2 arr2.(!j_end)) k = 0 do
+      while !j_end < n2 && cmp (key arr2 !j_end) k = 0 do
         incr j_end
       done;
-      while !i < n1 && vcmp (key1 arr1.(!i)) k = 0 do
+      while !i < n1 && cmp (key arr1 !i) k = 0 do
+        let o = snd arr1.(!i) in
         for jj = !j to !j_end - 1 do
-          emit arr1.(!i) arr2.(jj)
+          pair_push pb o (snd arr2.(jj))
         done;
         incr i
       done;
       j := !j_end
     end
   done
-
-(* The fill of the pair arrays, made once: [Array.make] runs a minor
-   collection first when its fill value is in the minor heap. *)
-let no_pair = (Value.Null, Tuple.filler)
 
 (* Sort Merge: build array indexes on both join columns, quicksort them
    (§3.3.2) and merge.  Build cost is always charged.  Both sides are
@@ -394,10 +405,12 @@ let no_pair = (Value.Null, Tuple.filler)
    key, so the comparator and the merge read a contiguous pair array
    instead of dereferencing two tuples per comparison; each still
    charges the dereferences [Tuple.compare_on] and [Tuple.get] would
-   pay.  With a pool, each sort is [Qsort.sort_parallel] (slice
-   quicksorts plus parallel merge rounds); the sides sort one after the
-   other, since each parallel sort already uses every worker.  The final
-   merge join stays sequential (it emits into one list). *)
+   pay — the sorts' two per comparison once, from the comparison count
+   {!Qsort.sort_counted} returns, and the merge's in its own tally.
+   With a pool, each sort is [Qsort.sort_parallel] (slice quicksorts
+   plus parallel merge rounds); the sides sort one after the other,
+   since each parallel sort already uses every worker.  The final merge
+   join stays sequential (it emits into one list). *)
 let sort_merge ?pool ?(cutoff = 10) ?outer_filter ~outer ~inner () =
   let out = result_list outer inner in
   let collect ?filter side =
@@ -415,19 +428,12 @@ let sort_merge ?pool ?(cutoff = 10) ?outer_filter ~outer ~inner () =
     arr
   in
   let arr1 = collect ?filter:outer_filter outer and arr2 = collect inner in
-  let cmp (k1, _) (k2, _) =
-    Counters.bump_ptr_derefs ~n:2 ();
-    Value.compare k1 k2
-  in
-  Qsort.sort_with ~cutoff ?pool Qsort.Quicksort ~cmp arr1;
-  Qsort.sort_with ~cutoff ?pool Qsort.Quicksort ~cmp arr2;
-  let kread (k, _) =
-    Counters.bump_ptr_derefs ();
-    k
-  in
+  let cmp ((k1 : Value.t), _) (k2, _) = Value.compare k1 k2 in
+  let sorted arr = Qsort.sort_counted ~cutoff ?pool ~cmp arr in
+  let comparisons = sorted arr1 + sorted arr2 in
+  Counters.bump_ptr_derefs ~n:(2 * comparisons) ();
   let pb = pair_buf out in
-  merge_arrays ~key1:kread ~key2:kread arr1 arr2 ~emit:(fun (_, a) (_, b) ->
-      pair_push pb a b);
+  Counters.counting (fun t -> merge_pairs t arr1 arr2 pb);
   pair_flush pb;
   out
 

@@ -168,11 +168,3 @@ val merge_sequences :
     pair of equal-key runs; inner runs are rescanned through persistent
     sequence positions rather than buffered. *)
 
-val merge_arrays :
-  key1:('a -> Value.t) ->
-  key2:('b -> Value.t) ->
-  'a array ->
-  'b array ->
-  emit:('a -> 'b -> unit) ->
-  unit
-(** The array-cursor specialization used by {!sort_merge}. *)

@@ -22,24 +22,44 @@ type method_ = Sort_scan | Hashing
 
 let method_name = function Sort_scan -> "Sort Scan" | Hashing -> "Hash"
 
-(* Projected key of an entry: the materialized values of the visible
-   fields.  Materializing dereferences the tuple pointers, which is the
-   honest cost of comparing projected fields. *)
-let entry_key tl entry = Temp_list.materialize_entry tl entry
+(* Projected keys of [tl]'s entries: the values of the visible fields,
+   read through one {!Temp_list.field_reader} taken on the calling
+   domain, so keys built on pool workers resolve the caller's MVCC
+   snapshot.  Uncounted: the kernels charge the dereferences that
+   materializing through the tuple pointers pays, arity x rows. *)
+let key_reader tl =
+  let read = Temp_list.field_reader tl in
+  let arity = Descriptor.arity (Temp_list.descriptor tl) in
+  fun e ->
+    let k = Array.make arity Value.Null in
+    for i = 0 to arity - 1 do
+      k.(i) <- read e i
+    done;
+    k
+
+(* Lexicographic order on projected keys, one comparison per field
+   compared.  The leading field's comparison is charged by the caller,
+   once per kernel call, from its own count of calls ([leading]); a tie
+   there makes the call compare, and charge, the further fields. *)
+let rec key_cmp_from a b i =
+  if i >= Array.length a then 0
+  else begin
+    Counters.bump_comparisons ();
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else key_cmp_from a b (i + 1)
+  end
 
 let key_cmp a b =
-  let n = Array.length a in
-  let rec go i =
-    if i >= n then 0
-    else
-      let c = Counters.counting_cmp Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if Array.length a = 0 then 0
+  else
+    let c = Value.compare a.(0) b.(0) in
+    if c <> 0 then c else key_cmp_from a b 1
 
-let key_hash k =
-  Counters.bump_hash_calls ();
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
+(* Leading-field comparisons per [key_cmp] call on keys of [arity]. *)
+let leading arity = if arity > 0 then 1 else 0
+
+(* Uncounted: the kernels charge one hash call per key. *)
+let key_hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
 
 (* Lists shorter than this dedup faster sequentially than the fork/join
    round trips cost. *)
@@ -73,52 +93,73 @@ let sort_scan ?pool ?(cutoff = 10) tl labels =
   if n = 0 then out
   else begin
     (* Pair each entry with its projected key so the sort compares values,
-       not pointers.  Key extraction materializes through the tuple
-       pointers, so with a pool it fans out too. *)
+       not pointers.  Key extraction reads through the tuple pointers, so
+       with a pool it fans out too. *)
+    let key = key_reader narrowed in
+    let arity = Descriptor.arity (Temp_list.descriptor narrowed) in
     let keyed =
       match parallel_pool pool n with
       | Some pool ->
-          Domain_pool.parallel_map pool
-            (fun e -> (entry_key narrowed e, e))
-            (entries narrowed)
+          Domain_pool.parallel_map pool (fun e -> (key e, e)) (entries narrowed)
       | None ->
           let keyed = Array.make n no_key in
           for i = 0 to n - 1 do
             let e = Temp_list.get narrowed i in
-            keyed.(i) <- (entry_key narrowed e, e)
+            keyed.(i) <- (key e, e)
           done;
           keyed
     in
+    Counters.bump_ptr_derefs ~n:(arity * n) ();
     let cmp (a, _) (b, _) = key_cmp a b in
-    Qsort.sort_with ~cutoff ?pool Qsort.Quicksort ~cmp keyed;
-    let last = ref None in
-    Array.iter
-      (fun (k, e) ->
-        let dup = match !last with Some p -> key_cmp p k = 0 | None -> false in
-        if not dup then begin
-          Temp_list.append out e;
-          last := Some k
-        end)
-      keyed;
+    let lead = leading arity in
+    let sorted = Qsort.sort_counted ~cutoff ?pool ~cmp keyed in
+    Counters.bump_comparisons ~n:(lead * sorted) ();
+    Counters.counting (fun t ->
+        let last = ref None in
+        Array.iter
+          (fun (k, e) ->
+            let dup =
+              match !last with
+              | Some p ->
+                  t.t_comparisons <- t.t_comparisons + lead;
+                  key_cmp p k = 0
+              | None -> false
+            in
+            if not dup then begin
+              Temp_list.append out e;
+              last := Some k
+            end)
+          keyed);
     out
   end
+
+(* Is [k] in [bucket]?  Counts the leading-field comparisons into [t]. *)
+let rec in_bucket (t : Counters.tally) lead k = function
+  | [] -> false
+  | k' :: rest ->
+      t.t_comparisons <- t.t_comparisons + lead;
+      key_cmp k' k = 0 || in_bucket t lead k rest
 
 (* Dedup a run of (hash, key, entry) triples in order, keeping the first
    occurrence of each key — the sequential [DKO84] inner loop, shared by
    the sequential path (one run) and the parallel path (one run per hash
-   partition). *)
-let dedup_run out slots triples =
+   partition).  One tally per run, published where the run ran. *)
+let dedup_run out slots ~arity triples =
+  Counters.counting @@ fun t ->
+  let lead = leading arity in
   let table : (int, Value.t array list) Hashtbl.t = Hashtbl.create slots in
   List.iter
     (fun (h, k, e) ->
       let bucket = Option.value ~default:[] (Hashtbl.find_opt table h) in
-      if not (List.exists (fun k' -> key_cmp k' k = 0) bucket) then begin
+      if not (in_bucket t lead k bucket) then begin
         Hashtbl.replace table h (k :: bucket);
         Temp_list.append out e
       end)
     triples
 
 (* Hash-based duplicate elimination; table sized |R|/2 as in the paper.
+   Every key costs one hash call and arity dereferences, charged once
+   per call on the calling domain.
 
    Parallel variant: project+hash every entry in parallel, route the
    triples by hash into one run per worker (equal keys share a hash, so
@@ -131,16 +172,22 @@ let dedup_run out slots triples =
 let hashing ?pool tl labels =
   let narrowed = Temp_list.project tl labels in
   let n = Temp_list.length narrowed in
-  let out = Temp_list.create (Temp_list.descriptor narrowed) in
+  let desc = Temp_list.descriptor narrowed in
+  let arity = Descriptor.arity desc in
+  let out = Temp_list.create desc in
+  let key = key_reader narrowed in
+  let triple e =
+    let k = key e in
+    (key_hash k, k, e)
+  in
+  let charge () =
+    Counters.bump_hash_calls ~n ();
+    Counters.bump_ptr_derefs ~n:(arity * n) ()
+  in
   match parallel_pool pool n with
   | Some pool ->
-      let keyed =
-        Domain_pool.parallel_map pool
-          (fun e ->
-            let k = entry_key narrowed e in
-            (key_hash k, k, e))
-          (entries narrowed)
-      in
+      let keyed = Domain_pool.parallel_map pool triple (entries narrowed) in
+      charge ();
       let p = Domain_pool.size pool in
       let parts = Array.make p [] in
       Array.iter
@@ -148,13 +195,12 @@ let hashing ?pool tl labels =
           let b = h land max_int mod p in
           parts.(b) <- triple :: parts.(b))
         keyed;
-      let desc = Temp_list.descriptor narrowed in
       let locals =
         Domain_pool.parallel_map pool
           (fun part ->
             let local = Temp_list.create desc in
             let part = List.rev part in
-            dedup_run local (max 16 (List.length part / 2)) part;
+            dedup_run local (max 16 (List.length part / 2)) ~arity part;
             local)
           parts
       in
@@ -162,10 +208,9 @@ let hashing ?pool tl labels =
       out
   | None ->
       let triples = ref [] in
-      Temp_list.iter narrowed (fun e ->
-          let k = entry_key narrowed e in
-          triples := (key_hash k, k, e) :: !triples);
-      dedup_run out (max 16 (n / 2)) (List.rev !triples);
+      Temp_list.iter narrowed (fun e -> triples := triple e :: !triples);
+      charge ();
+      dedup_run out (max 16 (n / 2)) ~arity (List.rev !triples);
       out
 
 let run ?pool method_ tl labels =

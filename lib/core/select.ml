@@ -73,6 +73,26 @@ let best_path rel = function
    fork/join round trip costs more than the scan it saves. *)
 let parallel_scan_threshold = 1024
 
+(* A worker's local list of the tuples [iter] offers that pass [keep].
+   Survivors collect in a batch buffer that flushes with one bulk append
+   ({!Temp_list.append_n}), not one append — and one domain-local budget
+   read — per tuple. *)
+let survivors desc ~keep iter =
+  let local = Temp_list.create desc in
+  let buf = Array.make (Batch.size ()) Tuple.filler in
+  let m = ref 0 in
+  iter (fun tuple ->
+      if keep tuple then begin
+        buf.(!m) <- tuple;
+        incr m;
+        if !m = Array.length buf then begin
+          Temp_list.append_n local buf !m;
+          m := 0
+        end
+      end);
+  Temp_list.append_n local buf !m;
+  local
+
 (* Partition-parallel sequential scan: relations already store tuples in
    partitions (§2.1), so each worker scans a disjoint set of partitions
    into a local temporary list and the coordinator concatenates.  Every
@@ -85,11 +105,7 @@ let scan_parallel pool rel ~keep out =
   let desc = Temp_list.descriptor out in
   let locals =
     Domain_pool.parallel_map pool
-      (fun p ->
-        let local = Temp_list.create desc in
-        Partition.iter p (fun tuple ->
-            if keep tuple then Temp_list.append local [| tuple |]);
-        local)
+      (fun p -> survivors desc ~keep (Partition.iter p))
       parts
   in
   Array.iter (fun l -> Temp_list.append_all out l) locals
@@ -116,13 +132,11 @@ let scan_parallel_snapshot pool rel ~snapshot ~keep out =
     let locals =
       Domain_pool.parallel_map pool
         (fun (lo, hi) ->
-          let local = Temp_list.create desc in
           Version_store.with_installed_snapshot snapshot (fun () ->
-              for i = lo to hi - 1 do
-                let t = tuples.(i) in
-                if keep t then Temp_list.append local [| t |]
-              done);
-          local)
+              survivors desc ~keep (fun f ->
+                  for i = lo to hi - 1 do
+                    f tuples.(i)
+                  done)))
         ranges
     in
     Array.iter (fun l -> Temp_list.append_all out l) locals

@@ -144,6 +144,15 @@ let field_value t entry i =
   let f = Descriptor.field t.desc i in
   Tuple.get entry.(f.Descriptor.source) f.Descriptor.column
 
+(* [field_value] with the calling domain's snapshot state captured once
+   and no per-read tally: the reader a kernel takes on the calling
+   domain and may hand to pool workers. *)
+let field_reader t =
+  let read = Tuple.scan_reader () and fields = t.desc.Descriptor.fields in
+  fun entry i ->
+    let f = fields.(i) in
+    read entry.(f.Descriptor.source) f.Descriptor.column
+
 (* Render an entry as a row of values, in descriptor order.  This is the
    only point where data is copied out of the source relations. *)
 let materialize_entry t entry =

@@ -67,6 +67,13 @@ val field_value : t -> entry -> int -> Value.t
 (** The value of descriptor field [i] for this entry (follows the tuple
     pointer). *)
 
+val field_reader : t -> entry -> int -> Value.t
+(** [field_reader t] reads like [field_value t], resolving the MVCC
+    snapshot (if any) of the domain that called [field_reader t]: it
+    captures that domain's snapshot state once ({!Tuple.scan_reader}),
+    so a kernel may take it on the calling domain and read through it
+    on pool workers.  Uncounted: the kernel charges its dereferences. *)
+
 val materialize_entry : t -> entry -> Value.t array
 (** Render one entry as a row of values — the only point where data is
     copied out of the source relations. *)

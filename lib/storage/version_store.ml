@@ -340,8 +340,26 @@ let on_insert vl (t : Value.tuple) =
 let prepare_update vl (t : Value.tuple) =
   if recording () <> None then ensure_base vl t
 
+(* A write with versioning off leaves the live fields the only truth
+   about [t]: a chain it leaves behind would contradict them at every
+   later snapshot, and the GC would never collapse it (its newest
+   version no longer holds the live fields).  So the chain is dropped
+   and [t] leaves the list; every snapshot then reads [t] live, and a
+   later versioned write starts a fresh base.  Under the write mark. *)
+let forget vl (t : Value.tuple) =
+  if (not (enabled ())) && t.Value.vers.Value.vs <> [] then begin
+    let vers = t.Value.vers in
+    vers.Value.vs <- [];
+    let tuples =
+      List.filter (fun (u : Value.tuple) -> u.Value.vers != vers) vl.tuples
+    in
+    set_tuples vl tuples
+      (vl.size - (List.length vl.tuples - List.length tuples))
+  end
+
 (* Called after the live fields changed; {!prepare_update} ran before. *)
 let on_update vl (t : Value.tuple) =
+  forget vl t;
   match recording () with
   | None -> ()
   | Some scope ->
@@ -352,6 +370,7 @@ let on_update vl (t : Value.tuple) =
 
 (* Called after the tuple left every index. *)
 let on_delete vl (t : Value.tuple) =
+  forget vl t;
   match recording () with
   | None -> ()
   | Some scope ->

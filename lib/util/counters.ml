@@ -38,24 +38,29 @@ let enabled = ref true
    Merge visibility: callers take snapshots from the coordinating domain
    after awaiting the futures of the work they want counted, and the
    future's mutex establishes the necessary happens-before edge for the
-   workers' plain-field bumps. *)
-type cell = {
-  mutable c_comparisons : int;
-  mutable c_data_moves : int;
-  mutable c_hash_calls : int;
-  mutable c_node_allocs : int;
-  mutable c_ptr_derefs : int;
+   workers' plain-field bumps.
+
+   A cell is a [tally]: the hot kernels count into a tally of their own,
+   a plain record with no domain-local lookup per operation, and
+   [publish] adds it into the running domain's cell once per call. *)
+type tally = {
+  mutable t_comparisons : int;
+  mutable t_data_moves : int;
+  mutable t_hash_calls : int;
+  mutable t_node_allocs : int;
+  mutable t_ptr_derefs : int;
 }
 
+let tally () =
+  { t_comparisons = 0; t_data_moves = 0; t_hash_calls = 0; t_node_allocs = 0;
+    t_ptr_derefs = 0 }
+
 let registry_m = Mutex.create ()
-let registry : cell list ref = ref []
+let registry : tally list ref = ref []
 
 let cell_key =
   Domain.DLS.new_key (fun () ->
-      let c =
-        { c_comparisons = 0; c_data_moves = 0; c_hash_calls = 0;
-          c_node_allocs = 0; c_ptr_derefs = 0 }
-      in
+      let c = tally () in
       Mutex.lock registry_m;
       registry := c :: !registry;
       Mutex.unlock registry_m;
@@ -64,11 +69,11 @@ let cell_key =
 let cell () = Domain.DLS.get cell_key
 
 let zero_cell c =
-  c.c_comparisons <- 0;
-  c.c_data_moves <- 0;
-  c.c_hash_calls <- 0;
-  c.c_node_allocs <- 0;
-  c.c_ptr_derefs <- 0
+  c.t_comparisons <- 0;
+  c.t_data_moves <- 0;
+  c.t_hash_calls <- 0;
+  c.t_node_allocs <- 0;
+  c.t_ptr_derefs <- 0
 
 let reset () =
   Mutex.lock registry_m;
@@ -77,11 +82,11 @@ let reset () =
 
 let snapshot_of c =
   {
-    comparisons = c.c_comparisons;
-    data_moves = c.c_data_moves;
-    hash_calls = c.c_hash_calls;
-    node_allocs = c.c_node_allocs;
-    ptr_derefs = c.c_ptr_derefs;
+    comparisons = c.t_comparisons;
+    data_moves = c.t_data_moves;
+    hash_calls = c.t_hash_calls;
+    node_allocs = c.t_node_allocs;
+    ptr_derefs = c.t_ptr_derefs;
   }
 
 let snapshot () =
@@ -94,40 +99,55 @@ let local_snapshot () = snapshot_of (cell ())
 
 let absorb s =
   let c = cell () in
-  c.c_comparisons <- c.c_comparisons + s.comparisons;
-  c.c_data_moves <- c.c_data_moves + s.data_moves;
-  c.c_hash_calls <- c.c_hash_calls + s.hash_calls;
-  c.c_node_allocs <- c.c_node_allocs + s.node_allocs;
-  c.c_ptr_derefs <- c.c_ptr_derefs + s.ptr_derefs
+  c.t_comparisons <- c.t_comparisons + s.comparisons;
+  c.t_data_moves <- c.t_data_moves + s.data_moves;
+  c.t_hash_calls <- c.t_hash_calls + s.hash_calls;
+  c.t_node_allocs <- c.t_node_allocs + s.node_allocs;
+  c.t_ptr_derefs <- c.t_ptr_derefs + s.ptr_derefs
+
+(* One kernel call's counts, added into the running domain's cell. *)
+let publish t =
+  if !enabled then begin
+    let c = cell () in
+    c.t_comparisons <- c.t_comparisons + t.t_comparisons;
+    c.t_data_moves <- c.t_data_moves + t.t_data_moves;
+    c.t_hash_calls <- c.t_hash_calls + t.t_hash_calls;
+    c.t_node_allocs <- c.t_node_allocs + t.t_node_allocs;
+    c.t_ptr_derefs <- c.t_ptr_derefs + t.t_ptr_derefs
+  end
+
+let counting f =
+  let t = tally () in
+  Fun.protect ~finally:(fun () -> publish t) (fun () -> f t)
 
 let bump_comparisons ?(n = 1) () =
   if !enabled then begin
     let c = cell () in
-    c.c_comparisons <- c.c_comparisons + n
+    c.t_comparisons <- c.t_comparisons + n
   end
 
 let bump_data_moves ?(n = 1) () =
   if !enabled then begin
     let c = cell () in
-    c.c_data_moves <- c.c_data_moves + n
+    c.t_data_moves <- c.t_data_moves + n
   end
 
 let bump_hash_calls ?(n = 1) () =
   if !enabled then begin
     let c = cell () in
-    c.c_hash_calls <- c.c_hash_calls + n
+    c.t_hash_calls <- c.t_hash_calls + n
   end
 
 let bump_node_allocs ?(n = 1) () =
   if !enabled then begin
     let c = cell () in
-    c.c_node_allocs <- c.c_node_allocs + n
+    c.t_node_allocs <- c.t_node_allocs + n
   end
 
 let bump_ptr_derefs ?(n = 1) () =
   if !enabled then begin
     let c = cell () in
-    c.c_ptr_derefs <- c.c_ptr_derefs + n
+    c.t_ptr_derefs <- c.t_ptr_derefs + n
   end
 
 let counting_cmp cmp a b =

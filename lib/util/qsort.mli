@@ -8,7 +8,9 @@
     Comparisons and data movement are tallied through {!Counters} so tests
     can check the O(n log n) shape and the duplicate-heavy behaviour the
     paper observes in Project Test 2 (nearly-sorted subarrays make the
-    insertion-sort phase cheap). *)
+    insertion-sort phase cheap).  Each slice sort, insertion pass and
+    merge counts into a tally of its own and publishes it once, on the
+    domain that ran it (the {!Counters} tally contract). *)
 
 val insertion_sort :
   ?lo:int -> ?hi:int -> cmp:('a -> 'a -> int) -> 'a array -> unit
@@ -29,6 +31,13 @@ val sort_parallel :
     the comparison/move counts are identical to {!sort}; in the parallel
     case they differ (merge rounds replace deep quicksort recursion) but
     stay within the same O(n log n) envelope.  Not stable. *)
+
+val sort_counted :
+  ?cutoff:int -> ?pool:Domain_pool.t -> cmp:('a -> 'a -> int) -> 'a array -> int
+(** {!sort_parallel} when a [pool] is given, else {!sort}, returning the
+    number of [cmp] calls made (already published to {!Counters}).
+    Callers that charge a cost per comparison charge it once from this
+    count instead of inside [cmp]. *)
 
 type kernel = Quicksort
 (** The one sort kernel, kept as a type for callers that name it. *)

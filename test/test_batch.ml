@@ -213,8 +213,8 @@ let test_scan_equivalence () =
   in
   scan ~name:"scan-eq" [ Select.Eq (Workload.jcol, some_key) ]
 
-let join_sides ?n ~seed () =
-  let r1, r2 = make_pair ?n ~seed () in
+let join_sides ?n ?dup ~seed () =
+  let r1, r2 = make_pair ?n ?dup ~seed () in
   ({ Join.rel = r1; col = Workload.jcol }, { Join.rel = r2; col = Workload.jcol })
 
 let test_hash_join_equivalence () =
@@ -276,6 +276,110 @@ let test_project_aggregate_equivalence () =
     (fun _ ->
       Aggregate.group input ~by:[ jcol_label ]
         ~aggs:[ Aggregate.Count; Aggregate.Min jcol_label ])
+
+(* --- the tally contract ------------------------------------------------ *)
+
+(* The kernels count in a per-call tally and publish it once per call:
+   with counting off they publish nothing at all. *)
+let test_counting_off () =
+  let outer, inner = join_sides ~n:3_000 ~seed:206 () in
+  let input = Temp_list.of_relation outer.Join.rel in
+  let labels = Descriptor.labels (Temp_list.descriptor input) in
+  let jcol_label = List.nth labels Workload.jcol in
+  let kernels =
+    [
+      ( "scan",
+        fun pool ->
+          ignore
+            (Select.run ~pool outer.Join.rel ~path:Select.Sequential_scan
+               ~predicates:
+                 [
+                   Select.Between (Workload.jcol, Value.Int 0, Value.Int max_int);
+                 ]) );
+      ("hash join", fun pool -> ignore (Join.hash_join ~pool ~outer ~inner ()));
+      ("sort merge", fun pool -> ignore (Join.sort_merge ~pool ~outer ~inner ()));
+      ( "project Sort Scan",
+        fun pool ->
+          ignore (Project.run ~pool Project.Sort_scan input [ jcol_label ]) );
+      ( "project Hash",
+        fun pool ->
+          ignore (Project.run ~pool Project.Hashing input [ jcol_label ]) );
+      ( "aggregate",
+        fun _ ->
+          ignore
+            (Aggregate.group input ~by:[ jcol_label ]
+               ~aggs:[ Aggregate.Count; Aggregate.Min jcol_label ]) );
+    ]
+  in
+  List.iter
+    (fun pool_size ->
+      with_pool pool_size @@ fun pool ->
+      List.iter
+        (fun (name, run) ->
+          let (), c =
+            Fun.protect
+              ~finally:(fun () -> Counters.enabled := true)
+              (fun () ->
+                Counters.enabled := false;
+                counted (fun () -> run pool))
+          in
+          Alcotest.check tally_t
+            (Printf.sprintf "%s publishes nothing (pool %d)" name pool_size)
+            (split (0, 0, 0, 0, 0))
+            (split (tally c)))
+        kernels)
+    pool_sizes
+
+(* A join stopped by the tuple budget still publishes what it counted
+   before the raise.  Matches flush into the result 4,096 at a time,
+   and only the calling domain is budgeted: a limit of 1 stops the
+   first flush, a limit of 4,096 the second.  Where the kernel emits on
+   the calling domain (the sort-merge join's merge, the hash join at
+   pool 1), the later stop must have published more comparisons — the
+   tally between the two flushes — and neither more than a full run. *)
+let test_quota_stop_publishes () =
+  let outer, inner = join_sides ~n:8_000 ~dup:60.0 ~seed:207 () in
+  let le (a, b, c, d, e) (a', b', c', d', e') =
+    a <= a' && b <= b' && c <= c' && d <= d' && e <= e'
+  in
+  let case name ~caller_emits join =
+    List.iter
+      (fun pool_size ->
+        with_pool pool_size @@ fun pool ->
+        let label = Printf.sprintf "%s (pool %d)" name pool_size in
+        let out, full = counted (fun () -> join pool) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: more than two flushes of output (%d)" label
+             (Temp_list.length out))
+          true
+          (Temp_list.length out > 2 * 4096);
+        let stopped limit =
+          let (), c =
+            counted (fun () ->
+                match Temp_list.with_budget ~limit (fun () -> join pool) with
+                | _ -> Alcotest.failf "%s: limit %d not exceeded" label limit
+                | exception Temp_list.Quota_exceeded _ -> ())
+          in
+          tally c
+        in
+        let first = stopped 1 and second = stopped 4096 in
+        let cmps (c, _, _, _, _) = c in
+        Alcotest.(check bool) (label ^ ": the stopped run counted") true
+          (cmps first > 0);
+        Alcotest.(check bool) (label ^ ": no more than a full run") true
+          (le first (tally full) && le second (tally full));
+        if caller_emits pool_size then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: the later stop counted more (%d < %d)" label
+               (cmps first) (cmps second))
+            true
+            (cmps first < cmps second))
+      pool_sizes
+  in
+  case "sort merge" ~caller_emits:(fun _ -> true) (fun pool ->
+      Join.sort_merge ~pool ~outer ~inner ());
+  case "hash join" ~caller_emits:(fun size -> size = 1) (fun pool ->
+      Join.hash_join ~pool ~outer ~inner ())
 
 (* --- MVCC x domains: the PR 6 regression fix ----------------------------- *)
 
@@ -377,6 +481,50 @@ let test_mvcc_batched_join () =
                     true (rows = reference))))
         batch_sizes)
 
+(* Parallel DISTINCT must read the caller's snapshot: key extraction
+   runs on pool workers, which have no snapshot installed, so the keys
+   are read through a reader taken on the calling domain.  A writer
+   sets every join-column value to 7 after the snapshot was taken; the
+   snapshot's DISTINCT still sees 4,000 distinct values. *)
+let test_mvcc_parallel_distinct () =
+  with_mvcc @@ fun () ->
+  let rng = Rng.create ~seed:304 () in
+  let r = Workload.load ~name:"D" (Workload.column rng ~spec:(spec 4_000 0.0)) in
+  let label =
+    List.nth
+      (Descriptor.labels (Descriptor.of_schema (Relation.schema r)))
+      Workload.jcol
+  in
+  Version_store.with_snapshot (fun _ ->
+      let input = Temp_list.of_relation r in
+      on_writer_domain (fun () ->
+          let live = ref [] in
+          Relation.iter r (fun t -> live := t :: !live);
+          Version_store.with_write (fun () ->
+              List.iter
+                (fun t ->
+                  match Relation.update_field r t Workload.jcol (Value.Int 7) with
+                  | Ok () -> ()
+                  | Error e -> Alcotest.fail e)
+                !live));
+      List.iter
+        (fun method_ ->
+          List.iter
+            (fun pool_size ->
+              let n =
+                with_pool pool_size (fun pool ->
+                    Temp_list.length (Project.run ~pool method_ input [ label ]))
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s DISTINCT at the snapshot (pool %d)"
+                   (Project.method_name method_) pool_size)
+                4_000 n)
+            pool_sizes)
+        [ Project.Sort_scan; Project.Hashing ]);
+  let now = Temp_list.of_relation r in
+  Alcotest.(check int) "after the snapshot, one value" 1
+    (Temp_list.length (Project.run Project.Hashing now [ label ]))
+
 (* --- skew robustness ----------------------------------------------------- *)
 
 let load_col ~name col = Workload.load ~name col
@@ -452,6 +600,13 @@ let () =
           Alcotest.test_case "project + aggregate" `Quick
             test_project_aggregate_equivalence;
         ] );
+      ( "tally",
+        [
+          Alcotest.test_case "counting off publishes nothing" `Quick
+            test_counting_off;
+          Alcotest.test_case "a quota stop publishes its counts" `Quick
+            test_quota_stop_publishes;
+        ] );
       ( "mvcc",
         [
           Alcotest.test_case "batched parallel snapshot scan" `Quick
@@ -460,6 +615,8 @@ let () =
             test_mvcc_batched_scan_visibility;
           Alcotest.test_case "batched partitioned join under snapshot" `Quick
             test_mvcc_batched_join;
+          Alcotest.test_case "parallel DISTINCT under snapshot" `Quick
+            test_mvcc_parallel_distinct;
         ] );
       ( "skew",
         [ Alcotest.test_case "hot-key join" `Quick test_skewed_join ] );

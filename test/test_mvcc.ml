@@ -266,6 +266,56 @@ let test_gc_collapse () =
         [ (Value.Int 1, Value.Int 11); (Value.Int 2, Value.Int 20) ]
         (rows r))
 
+(* Writes with versioning switched off at runtime must not leave a
+   chain that contradicts the live fields: after re-enabling, a
+   snapshot reads the updated value, not the version the write scope
+   stamped before the switch, and a deleted tuple stays deleted.  The
+   dropped chains leave the list, and the GC and later versioned
+   writes go on as for a tuple that was never versioned. *)
+let test_writes_with_mvcc_off () =
+  with_mvcc @@ fun () ->
+  let r = mk_kv () in
+  let scoped_ins k v = Version_store.with_write (fun () -> ins r k v) in
+  let t = scoped_ins 1 10 and u = scoped_ins 2 30 in
+  Alcotest.(check int) "both inserts versioned" 2 (Relation.versioned_count r);
+  Fun.protect
+    ~finally:(fun () -> Version_store.set_enabled true)
+    (fun () ->
+      Version_store.set_enabled false;
+      (match Relation.update_field r t 1 (Value.Int 20) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "delete" true (Relation.delete_tuple r u));
+  Alcotest.(check int) "the stale chains left the list" 0
+    (Relation.versioned_count r);
+  Alcotest.(check bool) "both chains are empty" true
+    (t.Value.vers.Value.vs = [] && u.Value.vers.Value.vs = []);
+  let at_snapshot () = Version_store.with_snapshot (fun _ -> rows r) in
+  Alcotest.(check (list (pair value value)))
+    "a snapshot reads the live value; the delete holds"
+    [ (Value.Int 1, Value.Int 20) ]
+    (at_snapshot ());
+  ignore (Mvcc.gc [ r ]);
+  Alcotest.(check int) "the GC finds nothing listed" 0
+    (Relation.versioned_count r);
+  (* a later versioned write starts a fresh base from the live fields *)
+  let slot, older = Version_store.acquire_slot () in
+  Version_store.with_write (fun () ->
+      match Relation.update_field r t 1 (Value.Int 21) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "versioned again" 1 (Relation.versioned_count r);
+  Alcotest.(check int) "base plus update" 2 (List.length t.Value.vers.Value.vs);
+  Alcotest.(check (list (pair value value)))
+    "an older snapshot reads the fresh base"
+    [ (Value.Int 1, Value.Int 20) ]
+    (Version_store.with_installed_snapshot older (fun () -> rows r));
+  Version_store.release_slot slot;
+  ignore (Mvcc.gc [ r ]);
+  Alcotest.(check int) "the GC collapses it" 0 (Relation.versioned_count r);
+  Alcotest.(check (list (pair value value)))
+    "a snapshot reads the update" [ (Value.Int 1, Value.Int 21) ] (at_snapshot ())
+
 (* 20k committed insert/delete transactions on a 10k-row relation with a
    GC pass every 64 writes, as the server runs it, while a snapshot
    taken at each pass stays live until the next: the list never holds
@@ -697,6 +747,8 @@ let () =
             test_gc_respects_snapshots;
           Alcotest.test_case "GC collapses chains at the horizon" `Quick
             test_gc_collapse;
+          Alcotest.test_case "writes with MVCC off drop stale chains" `Quick
+            test_writes_with_mvcc_off;
           Alcotest.test_case "the versioned list stays bounded" `Quick
             test_versioned_list_bounded;
           Alcotest.test_case "a point SELECT makes one read entry" `Quick

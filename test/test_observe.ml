@@ -816,6 +816,66 @@ let test_capture_replay_e2e () =
           | Error m -> Alcotest.fail m);
           Client.close c))
 
+(* --- EXPLAIN ANALYZE over the join kernels --------------------------- *)
+
+(* The join kernels count in per-call tallies, published on the domain
+   that ran them before the join span closes, so EXPLAIN ANALYZE's
+   exclusive operator counters still tile the total row exactly, and
+   the join row holds the kernel's own counts. *)
+let test_analyze_join_tiling () =
+  let module W = Mmdb_core.Workload in
+  let rng = Mmdb_util.Rng.create ~seed:31 () in
+  let spec = { W.cardinality = 3_000; dup_pct = 40.0; dup_stddev = 0.8 } in
+  let r1, r2 =
+    W.relation_pair ~with_ttree:false rng ~outer:spec ~inner:spec
+      ~semijoin_sel:80.0 ()
+  in
+  let db = Mmdb_core.Db.create () in
+  List.iter
+    (fun rel ->
+      match Mmdb_core.Db.add db rel with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    [ r1; r2 ];
+  let session = Mmdb_lang.Interp.session db in
+  let int_at (row : Mmdb_storage.Value.t array) i =
+    match row.(i) with Mmdb_storage.Value.Int v -> v | _ -> 0
+  in
+  let name_of (row : Mmdb_storage.Value.t array) =
+    match row.(0) with
+    | Mmdb_storage.Value.Str s -> String.trim s
+    | _ -> ""
+  in
+  List.iter
+    (fun using ->
+      let sql =
+        Printf.sprintf
+          "EXPLAIN ANALYZE SELECT * FROM R1 JOIN R2 ON R1.jcol = R2.jcol USING %s;"
+          using
+      in
+      match Mmdb_lang.Interp.exec_string session sql with
+      | Ok [ Mmdb_lang.Interp.Table r ] ->
+          let rows = r.Mmdb_core.Aggregate.rows in
+          let ops = List.filter (fun row -> name_of row <> "total") rows in
+          let total = List.find (fun row -> name_of row = "total") rows in
+          List.iteri
+            (fun off col ->
+              let summed =
+                List.fold_left (fun acc row -> acc + int_at row (5 + off)) 0 ops
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s rows sum to the total" using col)
+                (int_at total (5 + off)) summed)
+            [ "comparisons"; "data_moves"; "hash_calls"; "ptr_derefs" ];
+          let join = List.find (fun row -> name_of row = "join") ops in
+          Alcotest.(check bool)
+            (using ^ ": the join row holds the kernel's comparisons")
+            true
+            (int_at join 5 > 0 && int_at join 5 = int_at total 5)
+      | Ok _ -> Alcotest.fail ("expected a table for " ^ sql)
+      | Error e -> Alcotest.fail e)
+    [ "HASH"; "SORT_MERGE" ]
+
 let () =
   Alcotest.run "observe"
     [
@@ -838,6 +898,11 @@ let () =
             test_one_snapshot_per_reply;
           Alcotest.test_case "consumer names survive" `Quick
             test_consumer_names_survive;
+        ] );
+      ( "analyze",
+        [
+          Alcotest.test_case "join counters tile the total" `Quick
+            test_analyze_join_tiling;
         ] );
       ( "capture",
         [
