@@ -28,14 +28,14 @@
    served start accumulating again.)
 
    Safety rules:
-   - [run] is a no-op under an MVCC snapshot: index builds scan through
-     [Relation.iter], which a snapshot diverts to the visibility-filtered
-     view — the new index would silently miss concurrently-live tuples.
-     The server schedules runs as exclusive writer jobs, where no
-     snapshot is installed and no readers are in flight.
-   - Snapshot readers never touch secondary index handles (all Relation
-     read entry points divert under a snapshot), so concurrent
-     create/drop cannot invalidate an MVCC reader.
+   - [run] is a no-op under an MVCC snapshot: [Relation.create_index]
+     fills the new index through [Relation.iter], which under a snapshot
+     yields the snapshot's tuples, not the live ones.  The server
+     schedules runs as exclusive writer jobs, where no snapshot is
+     installed and no readers are in flight.
+   - Create and drop change a relation's index list under the write
+     mark, so no snapshot read entry walks an index while it is added
+     or removed.
    - Advisor indices are in-memory only and never logged: recovery
      replay rebuilds relations without them, and the advisor simply
      re-learns from the fresh workload.  The drop pass forgets owned
@@ -338,8 +338,8 @@ let drop_pass db ~windows =
   !actions
 
 let run db =
-  (* Never under a snapshot: the bulk build would scan the
-     visibility-filtered view and miss live tuples. *)
+  (* Never under a snapshot: the bulk build's [iter] would read the
+     snapshot's tuples, not the live ones. *)
   if Version_store.current_snapshot () <> None then []
   else
     locked @@ fun () ->

@@ -279,30 +279,32 @@ let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
 
 (* --- tree join ----------------------------------------------------------- *)
 
-(* Requires an existing ordered index on the inner join column; the paper
-   shows that building a T Tree just for the join never pays off. *)
+(* The tree methods require an existing ordered index on the join
+   column; the paper shows that building a T Tree just for the join never
+   pays off. *)
 let find_tree_index side =
-  Relation.find_index_on ~ordered:true side.rel ~columns:[| side.col |]
+  Option.map
+    (fun (module Inst : Relation.INSTANCE) -> Inst.def.Relation.idx_name)
+    (Relation.find_index_on ~ordered:true side.rel ~columns:[| side.col |])
 
-let tree_join ?outer_filter ~outer ~inner () =
-  match find_tree_index inner with
+let tree_index caller side =
+  match find_tree_index side with
+  | Some index -> index
   | None ->
       invalid_arg
-        (Printf.sprintf "Join.tree_join: no ordered index on %s column %d"
-           (Relation.name inner.rel) inner.col)
-  | Some (module Inst : Relation.INSTANCE) ->
-      let out = result_list outer inner in
-      let probe =
-        Tuple.probe
-          (Array.make (Schema.arity (Relation.schema inner.rel)) Value.Null)
-      in
-      Relation.iter outer.rel (fun o ->
-          if keep outer_filter o then begin
-            Tuple.set probe inner.col (key outer o);
-            Inst.I.iter_matches Inst.handle probe (fun i ->
-                Temp_list.append out [| o; i |])
-          end);
-      out
+        (Printf.sprintf "Join.%s: no ordered index on %s column %d" caller
+           (Relation.name side.rel) side.col)
+
+(* One index lookup per outer tuple; under an MVCC snapshot each is a
+   snapshot read entry. *)
+let tree_join ?outer_filter ~outer ~inner () =
+  let index = tree_index "tree_join" inner in
+  let out = result_list outer inner in
+  Relation.iter outer.rel (fun o ->
+      if keep outer_filter o then
+        Relation.iter_matches ~index inner.rel [| key outer o |] (fun i ->
+            Temp_list.append out [| o; i |]));
+  out
 
 (* --- merge joins ----------------------------------------------------------- *)
 
@@ -440,24 +442,19 @@ let sort_merge ?pool ?(cutoff = 10) ?outer_filter ~outer ~inner () =
 (* Tree Merge: merge join over pre-existing T Tree indexes on both sides.
    The tree scan follows node pointers, which is why the paper measures it
    at ~1.5x the array scan cost — that cost shows up here through the
-   pointer-chasing Seq, not as a magic constant. *)
+   pointer-chasing Seq, not as a magic constant.  Under an MVCC snapshot
+   each side is one snapshot pass ({!Relation.to_seq}). *)
 let tree_merge ?outer_filter ~outer ~inner () =
-  match (find_tree_index outer, find_tree_index inner) with
-  | Some (module O : Relation.INSTANCE), Some (module I : Relation.INSTANCE)
-    ->
-      let out = result_list outer inner in
-      let outer_seq =
-        match outer_filter with
-        | None -> O.I.to_seq O.handle
-        | Some f -> Seq.filter f (O.I.to_seq O.handle)
-      in
-      merge_sequences ~key_of1:(key outer) ~key_of2:(key inner) outer_seq
-        (I.I.to_seq I.handle)
-        ~emit:(fun a b -> Temp_list.append out [| a; b |]);
-      out
-  | _ ->
-      invalid_arg
-        "Join.tree_merge: both join columns need a pre-existing ordered index"
+  let oi = tree_index "tree_merge" outer and ii = tree_index "tree_merge" inner in
+  let out = result_list outer inner in
+  let outer_seq = Relation.to_seq ~index:oi outer.rel in
+  let outer_seq =
+    match outer_filter with None -> outer_seq | Some f -> Seq.filter f outer_seq
+  in
+  merge_sequences ~key_of1:(key outer) ~key_of2:(key inner) outer_seq
+    (Relation.to_seq ~index:ii inner.rel)
+    ~emit:(fun a b -> Temp_list.append out [| a; b |]);
+  out
 
 (* --- non-equijoins (§3.3.5) ----------------------------------------------- *)
 
@@ -468,50 +465,40 @@ let inequality_name = function Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 (* "Non-equijoins other than 'not equals' can make use of ordering of the
    data, so the Tree Join should be used for such (<, <=, >, >=) joins."
    The join predicate is [outer_key op inner_key].  For </<= the inner
-   index is scanned upward from the outer key with the pruned [iter_from];
+   index is scanned upward from the outer key ({!Relation.lookup_from});
    for >/>= the in-order prefix of the index up to the outer key is
-   scanned and the walk stops at the first non-qualifying element. *)
+   scanned and the walk stops at the first non-qualifying element.  Under
+   an MVCC snapshot each scan is one snapshot read entry, so a >/>= scan
+   collects the whole inner index before its walk stops. *)
 let tree_inequality_join ?outer_filter ~op ~outer ~inner () =
-  match find_tree_index inner with
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Join.tree_inequality_join: no ordered index on %s column %d"
-           (Relation.name inner.rel) inner.col)
-  | Some (module Inst : Relation.INSTANCE) ->
-      let out = result_list outer inner in
-      let probe =
-        Tuple.probe
-          (Array.make (Schema.arity (Relation.schema inner.rel)) Value.Null)
-      in
-      let exception Stop in
-      Relation.iter outer.rel (fun o ->
-          if keep outer_filter o then begin
-            let ko = key outer o in
-            Tuple.set probe inner.col ko;
-            match op with
-            | Lt | Le ->
-                (* outer < inner  ⟺  scan inner keys upward from outer *)
-                Inst.I.iter_from Inst.handle probe (fun i ->
-                    if op = Le || vcmp (key inner i) ko > 0 then
-                      Temp_list.append out [| o; i |])
-            | Gt | Ge -> (
-                (* outer > inner  ⟺  in-order prefix of the inner index *)
-                try
-                  Inst.I.iter Inst.handle (fun i ->
-                      let c = vcmp (key inner i) ko in
-                      if c < 0 || (c = 0 && op = Ge) then
-                        Temp_list.append out [| o; i |]
-                      else raise Stop)
-                with Stop -> ())
-          end);
-      out
+  let index = tree_index "tree_inequality_join" inner in
+  let out = result_list outer inner in
+  let exception Stop in
+  Relation.iter outer.rel (fun o ->
+      if keep outer_filter o then begin
+        let ko = key outer o in
+        match op with
+        | Lt | Le ->
+            (* outer < inner  ⟺  scan inner keys upward from outer *)
+            Relation.lookup_from ~index inner.rel [| ko |] (fun i ->
+                if op = Le || vcmp (key inner i) ko > 0 then
+                  Temp_list.append out [| o; i |])
+        | Gt | Ge -> (
+            (* outer > inner  ⟺  in-order prefix of the inner index *)
+            try
+              Relation.iter_via ~index inner.rel (fun i ->
+                  let c = vcmp (key inner i) ko in
+                  if c < 0 || (c = 0 && op = Ge) then
+                    Temp_list.append out [| o; i |]
+                  else raise Stop)
+            with Stop -> ())
+      end);
+  out
 
 (* --- pointer-based joins (§2.1) ------------------------------------------ *)
 
 (* The (method, outer, inner) key under which the feedback store
-   aggregates estimated-vs-actual join cardinalities.  Built from the
-   method that actually ran (after any snapshot remap in [run]). *)
+   aggregates estimated-vs-actual join cardinalities. *)
 let feedback_key_of ~method_name ~outer_name ~inner_name =
   Printf.sprintf "join/%s/%s*%s" method_name outer_name inner_name
 
@@ -595,19 +582,6 @@ let pointer_join ~outer ~ref_col ~selected =
 let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
     ~inner =
   Trace.with_span "join" @@ fun () ->
-  (* Under an MVCC snapshot the tree methods are out: they walk raw index
-     handles the writer mutates concurrently.  The hash and merge joins
-     read keys through [Relation.iter_batches] on the coordinator, where
-     the snapshot is installed, so their worker jobs never dereference a
-     tuple and the pool is safe to keep. *)
-  let method_ =
-    if Version_store.current_snapshot () = None then method_
-    else
-      match method_ with
-      | Tree_join -> Hash_join
-      | Tree_merge -> Sort_merge
-      | m -> m
-  in
   if Trace.active () then begin
     Trace.add_attr "method" (method_name method_);
     Trace.add_attr "outer" (Relation.name outer.rel);
@@ -634,8 +608,6 @@ let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
       Trace.add_attr "role_reversals" (string_of_int (rv1 - rv0));
     Trace.add_attr "rows" (string_of_int actual)
   end;
-  (* keyed on the method that actually ran, so a snapshot remap feeds
-     the shape the executor will run again under the same conditions *)
   (match est_rows with
   | Some est ->
       Feedback.observe ~key:(feedback_key ~method_ ~outer ~inner) ~est ~actual

@@ -51,13 +51,16 @@ val hash_join :
     qualifying tuples.  With several partitions the hint is ignored: each
     partition picks its build side (role reversal on skew). *)
 
-val find_tree_index : side -> Relation.index_instance option
-(** The pre-existing ordered index on a side's join column, if any. *)
+val find_tree_index : side -> string option
+(** The name of a pre-existing ordered index on a side's join column, if
+    any. *)
 
 val tree_join :
   ?outer_filter:(Tuple.t -> bool) -> outer:side -> inner:side -> unit -> Temp_list.t
 (** Nested loops through a {e pre-existing} ordered index on the inner
     join column (building one just for the join never pays off, §3.3.2).
+    Each probe is a {!Relation.iter_matches}: under an MVCC snapshot it
+    costs O(log n + m + d) for m matches and d versioned inner tuples.
     @raise Invalid_argument when no such index exists. *)
 
 val sort_merge :
@@ -79,6 +82,8 @@ val sort_merge :
 val tree_merge :
   ?outer_filter:(Tuple.t -> bool) -> outer:side -> inner:side -> unit -> Temp_list.t
 (** Merge join over {e pre-existing} ordered indexes on both join columns.
+    Without an MVCC snapshot duplicate runs rescan the live index; under
+    one, each side is one snapshot pass ({!Relation.to_seq}).
     @raise Invalid_argument when either index is missing. *)
 
 val run :
@@ -90,12 +95,13 @@ val run :
   outer:side ->
   inner:side ->
   Temp_list.t
-(** Uniform driver over the five algorithms.  [pool] enables the parallel
-    forms of {!hash_join} and {!sort_merge}, also under an MVCC snapshot;
-    the other methods ignore it.  [build_outer] applies to {!hash_join} only.  [est_rows] is the optimizer's output-cardinality estimate,
-    recorded as the [est_rows] trace attribute and fed with the actual
-    row count to {!Feedback.observe} under {!feedback_key} (keyed on the
-    method that actually ran, after any MVCC-snapshot remap). *)
+(** Uniform driver over the five algorithms: it runs the method asked
+    for, with or without an MVCC snapshot.  [pool] enables the parallel
+    forms of {!hash_join} and {!sort_merge}; the other methods ignore it.
+    [build_outer] applies to {!hash_join} only.  [est_rows] is the
+    optimizer's output-cardinality estimate, recorded as the [est_rows]
+    trace attribute and fed with the actual row count to
+    {!Feedback.observe} under {!feedback_key}. *)
 
 val feedback_key : method_:method_ -> outer:side -> inner:side -> string
 (** The (method, outer, inner) key under which {!Feedback} aggregates
@@ -130,7 +136,9 @@ val tree_inequality_join :
     ordering of a {e pre-existing} tree index on the inner join column —
     per the paper's note that ordered indices serve every non-equijoin
     except [<>].  For [Lt]/[Le] the inner index is scanned upward from
-    each outer key; for [Gt]/[Ge] its in-order prefix is scanned.
+    each outer key; for [Gt]/[Ge] its in-order prefix is scanned.  Both
+    scans are {!Relation} read entries, so they read the inner relation
+    at the active MVCC snapshot, if any.
     @raise Invalid_argument when no ordered index exists. *)
 
 (** {1 Pointer-based joins (§2.1)} *)

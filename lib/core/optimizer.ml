@@ -118,15 +118,10 @@ module Cost = struct
   let tree_lookup ~n ~matches = log2 (float_of_int n) +. float_of_int matches
 end
 
-(* Methods whose index prerequisites are met right now.  Under an MVCC
-   snapshot the tree methods stay infeasible: they walk raw index handles
-   outside the relation's read entries, so [Join.run] remaps them to Hash
-   Join / Sort Merge, and excluding them here keeps EXPLAIN honest about
-   the plan that actually executes. *)
+(* Methods whose index prerequisites are met right now. *)
 let feasible_methods ~outer ~inner =
-  let snapshot = Version_store.current_snapshot () <> None in
-  let outer_tree = (not snapshot) && Join.find_tree_index outer <> None in
-  let inner_tree = (not snapshot) && Join.find_tree_index inner <> None in
+  let outer_tree = Join.find_tree_index outer <> None in
+  let inner_tree = Join.find_tree_index inner <> None in
   List.filter
     (fun m ->
       match m with

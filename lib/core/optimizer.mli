@@ -85,7 +85,9 @@ end
 
 val feasible_methods : outer:Join.side -> inner:Join.side -> Join.method_ list
 (** The methods whose index prerequisites are met (tree methods need
-    pre-existing ordered indices on their join columns). *)
+    pre-existing ordered indices on their join columns), with or without
+    an MVCC snapshot: every method reads through the relations' read
+    entries. *)
 
 val choose_join :
   ?stats:join_stats -> outer:Join.side -> inner:Join.side -> unit -> join_choice

@@ -364,13 +364,14 @@ let delete_tuple t tuple =
     end
     else false
 
-let lookup ?index t key =
+let iter_matches ?index t key f =
   let (module Inst : INSTANCE) as inst = instance t index in
   let probe = probe_for t Inst.def key in
+  read t inst ~lo:probe ~hi:probe (Inst.I.iter_matches Inst.handle probe) f
+
+let lookup ?index t key =
   let acc = ref [] in
-  read t inst ~lo:probe ~hi:probe
-    (Inst.I.iter_matches Inst.handle probe)
-    (fun tu -> acc := tu :: !acc);
+  iter_matches ?index t key (fun tu -> acc := tu :: !acc);
   List.rev !acc
 
 let lookup_one ?index t key =
@@ -394,6 +395,15 @@ let iter_via ?index t f =
 
 (* Scan through the primary index, honouring the all-access-via-index rule. *)
 let iter t f = iter_via t f
+
+(* Without a snapshot the live index's persistent sequence, so that a
+   merge join rescans duplicate runs through the index; under one the
+   snapshot's tuples, collected by one pass. *)
+let to_seq ?index t =
+  let (module Inst : INSTANCE) as inst = instance t index in
+  match Version_store.current_snapshot () with
+  | None -> Inst.I.to_seq Inst.handle
+  | Some s -> List.to_seq (snapshot_tuples t s inst (Inst.I.iter Inst.handle))
 
 (* Batched scan production: fill fixed-size batches of tuple pointers
    with the values of [key_col] extracted into the batch's key slice.

@@ -136,9 +136,12 @@ val update_field : t -> Tuple.t -> int -> Value.t -> (unit, string) result
     key order.  A read costs O(log n + m + d) for m results and d
     versioned tuples ({!versioned_count}). *)
 
-val lookup : ?index:string -> t -> Value.t array -> Tuple.t list
-(** All tuples whose index key equals the probe values; [index] defaults
+val iter_matches : ?index:string -> t -> Value.t array -> (Tuple.t -> unit) -> unit
+(** Every tuple whose index key equals the probe values; [index] defaults
     to the primary. *)
+
+val lookup : ?index:string -> t -> Value.t array -> Tuple.t list
+(** {!iter_matches}, collected. *)
 
 val lookup_one : ?index:string -> t -> Value.t array -> Tuple.t option
 
@@ -156,6 +159,12 @@ val iter : t -> (Tuple.t -> unit) -> unit
 (** Scan in primary-index order. *)
 
 val iter_via : ?index:string -> t -> (Tuple.t -> unit) -> unit
+
+val to_seq : ?index:string -> t -> Tuple.t Seq.t
+(** The tuples in index order as a sequence.  Without a snapshot it is
+    the live index's own persistent sequence, so a saved position
+    replays the index scan; under one it is the snapshot's tuples,
+    collected by one pass before the sequence is returned. *)
 
 val iter_batches :
   ?key_col:int -> ?size:int -> t -> (Batch.t -> unit) -> unit

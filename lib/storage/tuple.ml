@@ -54,11 +54,6 @@ let scan_reader () =
   | None -> fun (t : t) i -> (resolve t).Value.fields.(i)
   | Some s -> fun (t : t) i -> (Version_store.fields_at s (resolve t)).(i)
 
-(* In place: for probes and other tuples no snapshot reader can hold. *)
-let set (t : t) i v =
-  let t = resolve t in
-  t.Value.fields.(i) <- v
-
 (* A stored tuple's field write replaces its field array rather than
    writing into it, so a snapshot reader that loaded the old array keeps
    reading consistent values ({!Version_store.fields_at}). *)

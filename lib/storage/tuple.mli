@@ -38,10 +38,6 @@ val scan_reader : unit -> t -> int -> Value.t
     for a whole scan, avoiding the per-tuple domain-local snapshot
     lookup.  Uncounted, like {!peek}. *)
 
-val set : t -> int -> Value.t -> unit
-(** Write a field in place: for probes and other tuples that no snapshot
-    reader can hold. *)
-
 val update : t -> int -> Value.t -> unit
 (** Write a stored tuple's field by replacing its field array, so that a
     concurrent snapshot reader keeps reading the array it loaded. *)

@@ -336,7 +336,32 @@ let test_join_operation_counts () =
   in
   if float_of_int c.Counters.comparisons > bound then
     Alcotest.failf "tree join comparisons %d above O(|R1| log |R2|) bound"
-      c.Counters.comparisons
+      c.Counters.comparisons;
+  (* The tree methods' exact totals on this workload, as [comparisons;
+     data moves; hash calls; node allocations; dereferences]: reading
+     through the relations' read entries must not change what Graphs 6-8
+     count. *)
+  let literal name want (c : Counters.snapshot) =
+    Alcotest.(check (list int)) (name ^ " totals") want
+      Counters.
+        [ c.comparisons; c.data_moves; c.hash_calls; c.node_allocs; c.ptr_derefs ]
+  in
+  literal "tree join" [ 10338; 0; 0; 0; 21076 ] (measure Join.Tree_join);
+  literal "tree merge" [ 2197; 0; 0; 0; 2897 ] (measure Join.Tree_merge);
+  List.iter
+    (fun (op, want) ->
+      Counters.reset ();
+      let _, c =
+        Counters.with_counters (fun () ->
+            ignore (Join.tree_inequality_join ~op ~outer ~inner ()))
+      in
+      literal (Join.inequality_name op) want c)
+    [
+      (Join.Lt, [ 67804; 0; 0; 0; 75503 ]);
+      (Join.Le, [ 7299; 0; 0; 0; 14998 ]);
+      (Join.Gt, [ 59895; 0; 0; 0; 60295 ]);
+      (Join.Ge, [ 60194; 0; 0; 0; 60594 ]);
+    ]
 
 (* --- pointer joins (§2.1) --------------------------------------------------- *)
 
@@ -753,7 +778,20 @@ let test_feasible_methods () =
       ~outer:(side (mk 10 ~tree:true "E"))
       ~inner:(side (mk 10 ~tree:true "F"))
   in
-  Alcotest.(check int) "all five feasible" 5 (List.length both)
+  Alcotest.(check int) "all five feasible" 5 (List.length both);
+  (* every method reads through the relations' read entries, so a
+     snapshot rules none out *)
+  let was = Version_store.enabled () in
+  Version_store.set_enabled true;
+  Fun.protect ~finally:(fun () -> Version_store.set_enabled was) @@ fun () ->
+  Version_store.with_snapshot (fun _ ->
+      Alcotest.(check bool) "snapshot installed" true
+        (Version_store.current_snapshot () <> None);
+      Alcotest.(check int) "all five feasible under a snapshot" 5
+        (List.length
+           (Optimizer.feasible_methods
+              ~outer:(side (mk 10 ~tree:true "G"))
+              ~inner:(side (mk 10 ~tree:true "H")))))
 
 (* --- end-to-end queries --------------------------------------------------------- *)
 

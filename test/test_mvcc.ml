@@ -560,7 +560,7 @@ let torture_read rng r ~history ~failure s =
   (* each entry: its rows, the committed rows it must return, and the key
      it returns them in order of, if any *)
   let name, got, want, order =
-    match Rng.int rng 11 with
+    match Rng.int rng 12 with
     | 0 ->
         let k = Rng.int rng key_space in
         ( "lookup",
@@ -618,6 +618,11 @@ let torture_read rng r ~history ~failure s =
                   done)),
           expect all,
           Some by_k )
+    | 10 ->
+        ( "to_seq (B-tree)",
+          List.of_seq (Relation.to_seq ~index:"by_v" r),
+          expect all,
+          Some by_v )
     | _ ->
         let n = Relation.count r in
         if n <> IM.cardinal state then
@@ -706,6 +711,155 @@ let test_torture () =
   Alcotest.(check bool) "snapshot reads ran" true
     (st1.Version_store.st_snapshot_reads > st0.Version_store.st_snapshot_reads)
 
+(* --- every join method under a snapshot ----------------------------------- *)
+
+module Join = Mmdb_core.Join
+module Workload = Mmdb_core.Workload
+
+(* (seq, jcol) rows, seq = position in [keys], with a T Tree on jcol. *)
+let join_side name keys =
+  { Join.rel = Workload.load ~with_ttree:true ~name keys; col = Workload.jcol }
+
+(* A writer on a fresh domain commits, in one write scope, inserts of
+   rows numbered from [seq] and deletes and join-key updates of about a
+   quarter of [r]'s rows, with keys below [keys]. *)
+let churn r ~seed ~seq ~keys =
+  on_writer_domain @@ fun () ->
+  let rng = Rng.create ~seed () in
+  Version_store.with_write @@ fun () ->
+  let picked = ref [] in
+  Relation.iter r (fun tu -> if Rng.int rng 4 = 0 then picked := tu :: !picked);
+  List.iteri
+    (fun i tu ->
+      if i mod 2 = 0 then (
+        if not (Relation.delete_tuple r tu) then Alcotest.fail "delete")
+      else
+        match Relation.update_field r tu Workload.jcol (Value.Int (Rng.int rng keys)) with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e)
+    !picked;
+  for i = 0 to 15 do
+    ignore (ins r (seq + i) (Rng.int rng keys))
+  done
+
+(* The (outer seq, inner seq) pairs with [pred outer_key inner_key]. *)
+let brute_pairs pred xs ys =
+  let acc = ref [] in
+  Array.iteri
+    (fun i a -> Array.iteri (fun j b -> if pred a b then acc := (i, j) :: !acc) ys)
+    xs;
+  List.sort compare !acc
+
+let seq_pairs tl =
+  let seq tu = match Tuple.get tu Workload.seq_col with Value.Int n -> n | _ -> -1 in
+  let acc = ref [] in
+  Temp_list.iter tl (fun e -> acc := (seq e.(0), seq e.(1)) :: !acc);
+  List.sort compare !acc
+
+(* The tree-index non-equijoins read the inner index at the snapshot:
+   rows a writer inserts, deletes or rekeys after it do not show. *)
+let test_inequality_join_snapshot () =
+  with_mvcc @@ fun () ->
+  let xs = Array.init 40 (fun i -> i * 7 mod 64)
+  and ys = Array.init 50 (fun i -> i * 5 mod 64) in
+  let outer = join_side "A" xs and inner = join_side "B" ys in
+  Version_store.with_snapshot (fun _ ->
+      List.iteri
+        (fun n (op, pred) ->
+          churn inner.Join.rel ~seed:(n + 1) ~seq:(1000 * (n + 1)) ~keys:64;
+          Alcotest.(check (list (pair int int)))
+            (Join.inequality_name op) (brute_pairs pred xs ys)
+            (seq_pairs (Join.tree_inequality_join ~op ~outer ~inner ())))
+        [ (Join.Lt, ( < )); (Join.Le, ( <= )); (Join.Gt, ( > )); (Join.Ge, ( >= )) ])
+
+(* Under a snapshot with the same writer, the tree methods run as asked
+   and agree with Hash Join and Sort Merge, sequential and partitioned. *)
+let test_tree_joins_snapshot () =
+  with_mvcc @@ fun () ->
+  List.iter
+    (fun size ->
+      let rng = Rng.create ~seed:size () in
+      let xs = Array.init 1500 (fun _ -> Rng.int rng 400)
+      and ys = Array.init 1500 (fun _ -> Rng.int rng 400) in
+      let outer = join_side "A" xs and inner = join_side "B" ys in
+      let want = brute_pairs ( = ) xs ys in
+      let pool = Mmdb_util.Domain_pool.create ~size () in
+      Fun.protect ~finally:(fun () -> Mmdb_util.Domain_pool.stop pool) @@ fun () ->
+      Version_store.with_snapshot @@ fun _ ->
+      churn outer.Join.rel ~seed:size ~seq:10_000 ~keys:400;
+      churn inner.Join.rel ~seed:(size + 1) ~seq:10_000 ~keys:400;
+      List.iter
+        (fun m ->
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s, pool size %d" (Join.method_name m) size)
+            want
+            (seq_pairs (Join.run ~pool m ~outer ~inner)))
+        [ Join.Hash_join; Join.Sort_merge; Join.Tree_join; Join.Tree_merge ])
+    [ 1; 4 ]
+
+(* Under a snapshot, the join method EXPLAIN plans is the one EXPLAIN
+   ANALYZE reports running, for a planner-chosen tree join and for a
+   forced Tree Merge. *)
+let test_explain_matches_execution () =
+  with_mvcc @@ fun () ->
+  let db = Db.create () in
+  let sess = Mmdb_lang.Interp.session db in
+  let exec sql =
+    match Mmdb_lang.Interp.exec_string sess sql with
+    | Ok l -> l
+    | Error e -> Alcotest.failf "%s: %s" sql e
+  in
+  ignore
+    (exec
+       "CREATE TABLE A (K int PRIMARY KEY, J int); CREATE TABLE B (K int \
+        PRIMARY KEY, J int);");
+  for i = 0 to 199 do
+    ignore
+      (exec
+         (Printf.sprintf "INSERT INTO A VALUES (%d, %d); INSERT INTO B VALUES (%d, %d);"
+            i (i mod 50) i (i mod 50)))
+  done;
+  ignore
+    (exec "CREATE INDEX a_j ON A (J) USING ttree; CREATE INDEX b_j ON B (J) USING ttree;");
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let method_in text prefix =
+    match
+      List.find_opt
+        (fun m -> contains text (prefix ^ Join.method_name m))
+        Join.all_methods
+    with
+    | Some m -> m
+    | None -> Alcotest.failf "no %S in %s" prefix text
+  in
+  let check ~seq query ~tree =
+    Version_store.with_snapshot @@ fun _ ->
+    churn (Db.find_exn db "B") ~seed:seq ~seq ~keys:50;
+    let planned =
+      match exec ("EXPLAIN " ^ query) with
+      | [ Mmdb_lang.Interp.Plan_text text ] -> method_in text "join with B: "
+      | _ -> Alcotest.fail "EXPLAIN: expected plan text"
+    in
+    let ran =
+      match exec ("EXPLAIN ANALYZE " ^ query) with
+      | [ Mmdb_lang.Interp.Table t ] ->
+          let detail row = match row.(9) with Value.Str s -> s | _ -> "" in
+          method_in
+            (String.concat "\n" (List.map detail t.Mmdb_core.Aggregate.rows))
+            "method="
+      | _ -> Alcotest.fail "EXPLAIN ANALYZE: expected a table"
+    in
+    Alcotest.(check string) query (Join.method_name planned) (Join.method_name ran);
+    Alcotest.(check bool) (query ^ ": a tree method") true (List.mem ran tree)
+  in
+  check ~seq:1000 "SELECT * FROM A JOIN B ON A.J = B.J WHERE A.K BETWEEN 1 AND 3;"
+    ~tree:[ Join.Tree_join; Join.Tree_merge ];
+  check ~seq:2000 "SELECT * FROM A JOIN B ON A.J = B.J USING tree_merge;"
+    ~tree:[ Join.Tree_merge ]
+
 (* --- read-only classification edges -------------------------------------- *)
 
 let parse_one sql =
@@ -757,6 +911,15 @@ let () =
             test_stamps_before_clock;
           Alcotest.test_case "live-index reads under a churning writer" `Quick
             test_torture;
+        ] );
+      ( "joins",
+        [
+          Alcotest.test_case "tree non-equijoins read the snapshot" `Quick
+            test_inequality_join_snapshot;
+          Alcotest.test_case "tree joins agree under a snapshot" `Quick
+            test_tree_joins_snapshot;
+          Alcotest.test_case "EXPLAIN's join method runs" `Quick
+            test_explain_matches_execution;
         ] );
       ( "classification",
         [
