@@ -40,7 +40,7 @@ let usage () =
                          statement (replay with mmdb_client --replay FILE)
   --capture-max-mb N     rotate the capture file past N MiB (default 64)
   --cost / --no-cost     cost-based planning: statistics-driven access
-                         paths, join algorithm and build side (default on,
+                         paths and join algorithm (default on,
                          MMDB_COST=0 flips the default); --no-cost is the
                          paper's rule-based preference ordering
   --advisor-every N      run the index advisor every N statement batches,

@@ -34,8 +34,8 @@ let run_join ?pool plan (choice, outer_side, inner_side) =
   in
   match choice with
   | Optimizer.Algorithm m ->
-      Join.run ?pool ~build_outer:plan.Optimizer.p_build_outer ?outer_filter
-        ?est_rows m ~outer:outer_side ~inner:inner_side
+      Join.run ?pool ?outer_filter ?est_rows m ~outer:outer_side
+        ~inner:inner_side
   | Optimizer.Precomputed col ->
       let inner_schema = Relation.schema inner_side.Join.rel in
       let joined =

@@ -216,32 +216,21 @@ let skew_bound_floor = 1024
    paper's probe loop does.  With more than one partition every tuple
    pays it for routing, build side included.
 
-   With one partition the table has half the build relation's
-   cardinality in slots, as in the paper's projection experiments, and
-   [build_outer] picks the build side (the cost-based planner's choice
-   when the selection leaves the outer smaller: [outer_filter] then
-   applies at build time).  With several, each partition's table has
-   half its build side, and the side is chosen per partition: a build
-   side over its working-set bound that a smaller probe side can replace
-   is reversed (the fix for a hot key, which no hash split can divide). *)
-let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
+   With one partition the table is built on the inner relation with
+   half its cardinality in slots, as in the paper's projection
+   experiments.  With several, each partition's table has half its build
+   side, and the side is chosen per partition: a build side over its
+   working-set bound that a smaller probe side can replace is reversed
+   (the fix for a hot key, which no hash split can divide). *)
+let hash_join ?pool ?outer_filter ~outer ~inner () =
   let pool =
-    match pool with
-    | Some p
-      when Domain_pool.size p > 1
-           && (not (Domain_pool.in_worker ()))
-           && Relation.cardinality outer.rel + Relation.cardinality inner.rel
-              >= parallel_join_threshold ->
-        Some p
-    | _ -> None
+    Domain_pool.fan_out pool
+      ~n:(Relation.cardinality outer.rel + Relation.cardinality inner.rel)
+      ~threshold:parallel_join_threshold
   in
   let parts = match pool with Some p -> Domain_pool.size p | None -> 1 in
-  let build_outer = build_outer && parts = 1 in
-  let inners = partition ~deref:(parts > 1 || build_outer) ~n:parts inner in
-  let outers =
-    partition ?filter:outer_filter ~deref:(parts > 1 || not build_outer)
-      ~n:parts outer
-  in
+  let inners = partition ~deref:(parts > 1) ~n:parts inner in
+  let outers = partition ?filter:outer_filter ~deref:true ~n:parts outer in
   let slots side nb =
     max 16 ((if parts = 1 then Relation.cardinality side.rel else nb) / 2)
   in
@@ -251,9 +240,7 @@ let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
     let pb = pair_buf out in
     let i = inners.(b) and o = outers.(b) in
     if i.plen > 0 && o.plen > 0 then
-      if build_outer then
-        build_probe pb ~slots:(slots outer o.plen) ~rev:true o i
-      else if i.plen > bound && o.plen < i.plen then begin
+      if i.plen > bound && o.plen < i.plen then begin
         Atomic.incr role_reversals;
         build_probe pb ~slots:(slots outer o.plen) ~rev:true o i
       end
@@ -466,32 +453,24 @@ let inequality_name = function Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
    data, so the Tree Join should be used for such (<, <=, >, >=) joins."
    The join predicate is [outer_key op inner_key].  For </<= the inner
    index is scanned upward from the outer key ({!Relation.lookup_from});
-   for >/>= the in-order prefix of the index up to the outer key is
-   scanned and the walk stops at the first non-qualifying element.  Under
-   an MVCC snapshot each scan is one snapshot read entry, so a >/>= scan
-   collects the whole inner index before its walk stops. *)
+   for >/>= it is walked in order up to the outer key
+   ({!Relation.lookup_below}).  Each scan is one read entry: under an
+   MVCC snapshot the first costs O(log n + m + d) and the second
+   O(m + d), for m results and d versioned inner tuples. *)
 let tree_inequality_join ?outer_filter ~op ~outer ~inner () =
   let index = tree_index "tree_inequality_join" inner in
   let out = result_list outer inner in
-  let exception Stop in
   Relation.iter outer.rel (fun o ->
       if keep outer_filter o then begin
         let ko = key outer o in
+        let emit i = Temp_list.append out [| o; i |] in
         match op with
         | Lt | Le ->
-            (* outer < inner  ⟺  scan inner keys upward from outer *)
             Relation.lookup_from ~index inner.rel [| ko |] (fun i ->
-                if op = Le || vcmp (key inner i) ko > 0 then
-                  Temp_list.append out [| o; i |])
-        | Gt | Ge -> (
-            (* outer > inner  ⟺  in-order prefix of the inner index *)
-            try
-              Relation.iter_via ~index inner.rel (fun i ->
-                  let c = vcmp (key inner i) ko in
-                  if c < 0 || (c = 0 && op = Ge) then
-                    Temp_list.append out [| o; i |]
-                  else raise Stop)
-            with Stop -> ())
+                if op = Le || vcmp (key inner i) ko > 0 then emit i)
+        | Gt | Ge ->
+            Relation.lookup_below ~index ~inclusive:(op = Ge) inner.rel
+              [| ko |] emit
       end);
   out
 
@@ -579,8 +558,7 @@ let pointer_join ~outer ~ref_col ~selected =
 
 (* --- uniform driver -------------------------------------------------------- *)
 
-let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
-    ~inner =
+let run ?pool ?outer_filter ?est_rows method_ ~outer ~inner =
   Trace.with_span "join" @@ fun () ->
   if Trace.active () then begin
     Trace.add_attr "method" (method_name method_);
@@ -589,14 +567,13 @@ let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
     (match est_rows with
     | Some e -> Trace.add_attr "est_rows" (string_of_int e)
     | None -> ());
-    Trace.add_attr "batch" (string_of_int (Batch.size ()));
-    if build_outer && method_ = Hash_join then Trace.add_attr "build" "outer"
+    Trace.add_attr "batch" (string_of_int (Batch.size ()))
   end;
   let _, rv0 = skew_stats () in
   let out =
     match method_ with
     | Nested_loops -> nested_loops ?outer_filter ~outer ~inner ()
-    | Hash_join -> hash_join ?pool ~build_outer ?outer_filter ~outer ~inner ()
+    | Hash_join -> hash_join ?pool ?outer_filter ~outer ~inner ()
     | Tree_join -> tree_join ?outer_filter ~outer ~inner ()
     | Sort_merge -> sort_merge ?pool ?outer_filter ~outer ~inner ()
     | Tree_merge -> tree_merge ?outer_filter ~outer ~inner ()

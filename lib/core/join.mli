@@ -26,7 +26,6 @@ val nested_loops :
 
 val hash_join :
   ?pool:Mmdb_util.Domain_pool.t ->
-  ?build_outer:bool ->
   ?outer_filter:(Tuple.t -> bool) ->
   outer:side ->
   inner:side ->
@@ -44,12 +43,10 @@ val hash_join :
     the same either way; the counters differ only by the routing
     dereferences and the smaller per-partition tables.
 
-    [build_outer] (default false) builds the table on the outer side
-    instead and probes with the inner — chosen by the cost-based planner
-    when the selection leaves the outer smaller than the inner; the
-    [outer_filter] then applies at build time, so the table holds only
-    qualifying tuples.  With several partitions the hint is ignored: each
-    partition picks its build side (role reversal on skew). *)
+    With one partition the table is always built on the inner side.
+    With several, each partition picks its build side from the sizes it
+    measured: a build side over its working-set bound that a smaller
+    probe side can replace is reversed (role reversal on skew). *)
 
 val find_tree_index : side -> string option
 (** The name of a pre-existing ordered index on a side's join column, if
@@ -88,7 +85,6 @@ val tree_merge :
 
 val run :
   ?pool:Mmdb_util.Domain_pool.t ->
-  ?build_outer:bool ->
   ?outer_filter:(Tuple.t -> bool) ->
   ?est_rows:int ->
   method_ ->
@@ -98,7 +94,7 @@ val run :
 (** Uniform driver over the five algorithms: it runs the method asked
     for, with or without an MVCC snapshot.  [pool] enables the parallel
     forms of {!hash_join} and {!sort_merge}; the other methods ignore it.
-    [build_outer] applies to {!hash_join} only.  [est_rows] is the
+    [est_rows] is the
     optimizer's output-cardinality estimate, recorded as the [est_rows]
     trace attribute and fed with the actual row count to
     {!Feedback.observe} under {!feedback_key}. *)

@@ -2,10 +2,16 @@
 
     "Query optimization in MM-DBMS should be simpler than in conventional
     database systems, as the cost formulas are less complicated ... there
-    is a more definite ordering of preference."  The rules encoded here:
+    is a more definite ordering of preference."
 
-    Selection access path: hash lookup (exact match only) > tree lookup >
-    sequential scan — delegated to {!Select.best_path}.
+    One pipeline plans every query: score each predicate's access paths
+    and order the predicates, estimate the selection's output, then price
+    the feasible join methods and take the cheapest.  The cost-based
+    planner and the paper's §4 rule-based ablation differ only in three
+    parameters of that pipeline ({!mode}): the access-path score (the §4
+    rank hash lookup > tree lookup > sequential scan, or {!Cost}), the
+    selection prior (fixed fractions, or {!Column_stats}), and the outer
+    cardinality that prices a join (the raw count, or the estimate).
 
     Join method: a precomputed (pointer) join is always fastest when the
     outer join column is a declared foreign key to the inner relation;
@@ -32,17 +38,16 @@ type plan = {
   p_paths : (Select.access_path * Select.predicate) list;
       (** one per where clause; the first indexable one drives access *)
   p_join : (join_choice * Join.side * Join.side) option;
-  p_build_outer : bool;
-      (** hash join only: build the table on the (filtered) outer side *)
   p_project : string list option;
   p_distinct : bool;
   p_dedup_method : Project.method_;
   p_est_sel : int;  (** estimated selection output rows *)
   p_est_join : int option;  (** estimated join output rows, when joining *)
+  p_est_cost : float option;  (** the chosen join method's estimated cost *)
   p_planner : string;  (** "cost-based" | "rule-based" *)
-  p_sel_cands : (string * float) list;
-      (** access-path candidates for the leading predicate, with costs *)
-  p_join_cands : (string * float) list;
+  p_sel_cands : (Select.access_path * float) list;
+      (** access-path candidates for the leading predicate, with scores *)
+  p_join_cands : (join_choice * float) list;
       (** join-method candidates with costs, cheapest first *)
 }
 
@@ -57,7 +62,10 @@ let parse_env = function
 let cost_state = ref (parse_env (Sys.getenv_opt "MMDB_COST"))
 let cost_based () = !cost_state
 let set_cost_based b = cost_state := b
-let planner_name () = if cost_based () then "cost-based" else "rule-based"
+
+let choice_name = function
+  | Precomputed _ -> "Precomputed"
+  | Algorithm m -> Join.method_name m
 
 let pp_choice ppf = function
   | Precomputed col -> Fmt.pf ppf "precomputed join via pointer column %d" col
@@ -135,35 +143,33 @@ let fk_target outer =
   | Schema.T_ref target | Schema.T_refs target -> Some target
   | _ -> None
 
-let choose_join ?stats ~outer ~inner () =
+let by_score l = List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) l
+
+(* The join decision.  The foreign-key precomputed join and the §3.3.5
+   high-output Sort Merge rule are rules — pointer traversal and output
+   size are facts the comparison formulas do not model — and everything
+   else is the first cheapest feasible method, with the outer side
+   priced at [outer_rows].  Returns the choice and the candidates,
+   cheapest first. *)
+let choose_join ?stats ~outer_rows ~outer ~inner () =
   match fk_target outer with
   | Some target when String.equal target (Relation.name inner.Join.rel) ->
       (* "A precomputed join is always faster than the other join methods." *)
-      Precomputed outer.Join.col
+      let choice = Precomputed outer.Join.col in
+      (choice, [ (choice, float_of_int outer_rows) ])
   | _ ->
-      if high_output stats then
-        (* §3.3.5 exception 2 is about output size, which the comparison
-           formulas do not model: sort merge's array scans win. *)
-        Algorithm Join.Sort_merge
-      else begin
-        let o = Relation.cardinality outer.Join.rel in
-        let i = Relation.cardinality inner.Join.rel in
-        let best =
-          List.fold_left
-            (fun acc m ->
-              let cost = Cost.of_method m ~outer:o ~inner:i in
-              match acc with
-              | Some (_, best_cost) when best_cost <= cost -> acc
-              | _ -> Some (m, cost))
-            None
-            (feasible_methods ~outer ~inner)
-        in
-        match best with
-        | Some (m, _) -> Algorithm m
-        | None -> Algorithm Join.Hash_join
-      end
+      let i = Relation.cardinality inner.Join.rel in
+      let cands =
+        by_score
+          (List.map
+             (fun m -> (Algorithm m, Cost.of_method m ~outer:outer_rows ~inner:i))
+             (feasible_methods ~outer ~inner))
+      in
+      (* never empty: Nested Loops, Hash Join and Sort Merge always work *)
+      let cheapest = fst (List.hd cands) in
+      ((if high_output stats then Algorithm Join.Sort_merge else cheapest), cands)
 
-(* --- cost-based planning -------------------------------------------------- *)
+(* --- access paths and selection priors ------------------------------------ *)
 
 let float_of_value = function
   | Value.Int n -> Some (float_of_int n)
@@ -187,145 +193,136 @@ let est_matches rel pred =
       | _ -> max 1 (n / 4))
   | Select.Filter _ -> max 1 (n / 3)
 
-(* Every way to answer [pred], with its estimated cost. *)
-let access_candidates rel pred =
+(* Every way to answer [pred], priced for [matches] expected matches:
+   its column's indexes (hash ones for exact matches only), then a scan. *)
+let access_candidates rel pred ~matches =
   let n = Relation.cardinality rel in
-  let scan = (Select.Sequential_scan, Cost.seq_scan ~n) in
-  match pred with
-  | Select.Eq (col, _) ->
-      let matches = est_matches rel pred in
-      List.map
-        (fun (name, kind) ->
-          match kind with
-          | Mmdb_index.Index_intf.Hash ->
-              (Select.Hash_lookup name, Cost.hash_lookup ~matches)
-          | Mmdb_index.Index_intf.Ordered ->
-              (Select.Tree_lookup name, Cost.tree_lookup ~n ~matches))
-        (Select.candidate_indexes rel ~col)
-      @ [ scan ]
-  | Select.Between (col, _, _) ->
-      let matches = est_matches rel pred in
-      List.filter_map
-        (fun (name, kind) ->
-          if kind = Mmdb_index.Index_intf.Ordered then
-            Some (Select.Tree_lookup name, Cost.tree_lookup ~n ~matches)
-          else None)
-        (Select.candidate_indexes rel ~col)
-      @ [ scan ]
-  | Select.Filter _ -> [ scan ]
-
-(* Cheapest access path for [pred], plus the full candidate list for
-   EXPLAIN.  The candidate list is never empty (a scan always works). *)
-let best_access rel pred =
-  let cands = access_candidates rel pred in
-  let best =
-    List.fold_left
-      (fun acc (p, c) ->
-        match acc with Some (_, bc) when bc <= c -> acc | _ -> Some (p, c))
-      None cands
+  let indexed ~hash col =
+    List.filter_map
+      (fun (name, kind) ->
+        match kind with
+        | Mmdb_index.Index_intf.Hash ->
+            if hash then Some (Select.Hash_lookup name, Cost.hash_lookup ~matches)
+            else None
+        | Mmdb_index.Index_intf.Ordered ->
+            Some (Select.Tree_lookup name, Cost.tree_lookup ~n ~matches))
+      (Select.candidate_indexes rel ~col)
   in
-  (Option.get best, cands)
+  (match pred with
+  | Select.Eq (col, _) -> indexed ~hash:true col
+  | Select.Between (col, _, _) -> indexed ~hash:false col
+  | Select.Filter _ -> [])
+  @ [ (Select.Sequential_scan, Cost.seq_scan ~n) ]
 
-type join_cand = Cand_method of Join.method_ | Cand_hash_build_outer
-
-(* Join-method candidates with estimated costs.  [eff_outer] is the
-   outer cardinality after selection (the rule-based planner passes the
-   raw count, matching §4's use of relation sizes).  When hash join is
-   feasible and the filtered outer is the smaller side, building the
-   table on the outer is a distinct candidate — the §3.3.4 formula is
-   symmetric, so its cost is the same formula with the roles swapped. *)
-let join_candidates ~eff_outer ~outer ~inner =
-  let i = Relation.cardinality inner.Join.rel in
-  let feas = feasible_methods ~outer ~inner in
-  let base =
-    List.map
-      (fun m ->
-        (Cand_method m, Join.method_name m, Cost.of_method m ~outer:eff_outer ~inner:i))
-      feas
-  in
-  if List.mem Join.Hash_join feas && eff_outer < i then
-    base
-    @ [
-        ( Cand_hash_build_outer,
-          "Hash Join (build outer)",
-          Cost.hash_join ~outer:i ~inner:eff_outer );
-      ]
-  else base
-
-let named_cands cands =
-  List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b) cands
-  |> List.map (fun (_, name, c) -> (name, c))
-
-(* Cost-based join choice.  The foreign-key precomputed join and the
-   §3.3.5 high-output Sort Merge rule are kept as rules — pointer
-   traversal and output size are facts the comparison formulas do not
-   model — and everything else is minimum estimated cost over the
-   feasible candidates, with the outer side taken at its
-   selection-reduced cardinality.  Returns (choice, build_outer,
-   candidates-for-EXPLAIN). *)
-let choose_join_cost ?stats ~est_sel ~outer ~inner () =
-  match fk_target outer with
-  | Some target when String.equal target (Relation.name inner.Join.rel) ->
-      (Precomputed outer.Join.col, false, [ ("Precomputed", float_of_int est_sel) ])
-  | _ ->
-      let cands = join_candidates ~eff_outer:est_sel ~outer ~inner in
-      let named = named_cands cands in
-      if high_output stats then (Algorithm Join.Sort_merge, false, named)
-      else (
-        match
-          List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b) cands
-        with
-        | (Cand_method m, _, _) :: _ -> (Algorithm m, false, named)
-        | (Cand_hash_build_outer, _, _) :: _ -> (Algorithm Join.Hash_join, true, named)
-        | [] -> (Algorithm Join.Hash_join, false, named))
-
-(* --- cardinality estimation ---------------------------------------------- *)
+(* §4's access-path preference as a score: hash (exact match) over tree
+   point lookup over tree range over scan. *)
+let path_rank path pred =
+  match (path, pred) with
+  | Select.Hash_lookup _, _ -> 0
+  | Select.Tree_lookup _, Select.Eq _ -> 1
+  | Select.Tree_lookup _, _ -> 2
+  | Select.Sequential_scan, _ -> 3
 
 (* Static selectivity priors, System R style: the paper keeps no
-   histograms (§4), so the cold-start guesses are fixed fractions of the
-   relation — exact match keeps 1/10th, a range 1/4, an opaque residual
-   1/3.  Once the same (relation, path, predicate-shape) has executed a
-   few times, {!Feedback.estimate} replaces the prior with the average
-   observed cardinality, which is the feedback loop this PR adds. *)
+   histograms (§4), so the rule planner's guesses are fixed fractions of
+   the relation — exact match keeps 1/10th, a range 1/4, an opaque
+   residual 1/3. *)
 let selectivity_factor = function
   | Select.Eq _ -> 10
   | Select.Between _ -> 4
   | Select.Filter _ -> 3
 
-let est_select outer paths =
-  let n = Relation.cardinality outer in
-  match paths with
-  | [] -> n
-  | (path, _) :: _ -> (
-      let predicates = List.map snd paths in
-      let static =
-        List.fold_left
-          (fun acc p -> max 1 (acc / selectivity_factor p))
-          n predicates
-      in
-      let key = Select.feedback_key outer ~path ~predicates in
-      match Feedback.estimate ~key with Some e -> e | None -> static)
+let fixed_prior rel predicates =
+  List.fold_left
+    (fun acc p -> max 1 (acc / selectivity_factor p))
+    (Relation.cardinality rel) predicates
 
-(* Cost-based selection estimate: per-predicate match fractions from
-   column statistics, combined under independence; feedback still wins
-   once the shape has run. *)
-let est_select_cost outer paths =
-  let n = Relation.cardinality outer in
+(* The cost planner's prior: per-predicate match fractions from column
+   statistics, combined under independence. *)
+let stats_prior rel predicates =
+  let n = Relation.cardinality rel in
+  let nf = float_of_int (max 1 n) in
+  let frac =
+    List.fold_left
+      (fun acc p -> acc *. (float_of_int (est_matches rel p) /. nf))
+      1.0 predicates
+  in
+  max 1 (min n (int_of_float (Float.ceil (nf *. frac))))
+
+(* --- the planner's three parameters ---------------------------------------- *)
+
+(* Everything the rule-based ablation changes, picked once per plan. *)
+type mode = {
+  name : string;
+  access : Relation.t -> Select.predicate -> (Select.access_path * float) list * int;
+      (* a predicate's candidate access paths scored (lower wins), and
+         its tie-break against predicates of equal score *)
+  prior : Relation.t -> Select.predicate list -> int;
+      (* the selection's output rows, before feedback *)
+  outer_rows : Relation.t -> est_sel:int -> int;
+      (* the outer cardinality that prices a join *)
+}
+
+(* Minimum estimated cost, the more selective predicate first on a tie. *)
+let cost_mode =
+  {
+    name = "cost-based";
+    access =
+      (fun rel p ->
+        let matches = est_matches rel p in
+        (access_candidates rel p ~matches, matches));
+    prior = stats_prior;
+    outer_rows = (fun _ ~est_sel -> est_sel);
+  }
+
+(* The §4 preference order over the one path {!Select.best_path} picks,
+   and §4's use of relation sizes for joins. *)
+let rule_mode =
+  {
+    name = "rule-based";
+    access =
+      (fun rel p ->
+        let path = Select.best_path rel p in
+        ([ (path, float_of_int (path_rank path p)) ], 0));
+    prior = fixed_prior;
+    outer_rows = (fun rel ~est_sel:_ -> Relation.cardinality rel);
+  }
+
+let current_mode () = if cost_based () then cost_mode else rule_mode
+let planner_name () = (current_mode ()).name
+
+(* Each predicate's best-scored path, the predicates ordered so the best
+   leads, and the leading predicate's candidates (best first) for
+   EXPLAIN.  A predicate always has a candidate: a scan always works. *)
+let order_paths mode rel preds =
+  let scored =
+    List.map
+      (fun p ->
+        let cands, tie = mode.access rel p in
+        let cands = by_score cands in
+        let path, score = List.hd cands in
+        ((path, p), (score, tie), cands))
+      preds
+  in
+  match
+    List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b) scored
+  with
+  | [] -> ([], [])
+  | (_, _, cands) :: _ as sorted -> (List.map (fun (pp, _, _) -> pp) sorted, cands)
+
+(* --- cardinality estimation ---------------------------------------------- *)
+
+(* The mode's prior, replaced by the average observed cardinality once
+   the same (relation, path, predicate-shape) has executed a few times
+   ({!Feedback.estimate}). *)
+let est_select mode outer paths =
   match paths with
-  | [] -> n
+  | [] -> Relation.cardinality outer
   | (path, _) :: _ -> (
       let predicates = List.map snd paths in
-      let static =
-        let nf = float_of_int (max 1 n) in
-        let frac =
-          List.fold_left
-            (fun acc p -> acc *. (float_of_int (est_matches outer p) /. nf))
-            1.0 predicates
-        in
-        max 1 (min n (int_of_float (Float.ceil (nf *. frac))))
-      in
-      let key = Select.feedback_key outer ~path ~predicates in
-      match Feedback.estimate ~key with Some e -> e | None -> static)
+      match Feedback.estimate ~key:(Select.feedback_key outer ~path ~predicates) with
+      | Some e -> e
+      | None -> mode.prior outer predicates)
 
 (* Join output estimate: the foreign-key prior — every outer tuple finds
    its match — scaled by the selection's reduction of the outer side.
@@ -353,109 +350,57 @@ let predicate_of_where schema (w : Query.where_clause) =
   | Query.Cmp_eq -> Select.Eq (col, w.Query.w_lo)
   | Query.Cmp_between -> Select.Between (col, w.Query.w_lo, w.Query.w_hi)
 
-(* §4's access-path preference as a sort key, so a conjunctive WHERE is
-   led by its most selective indexable predicate: hash (exact match) over
-   tree point lookup over tree range over scan. *)
-let path_rank (path, pred) =
-  match (path, pred) with
-  | Select.Hash_lookup _, _ -> 0
-  | Select.Tree_lookup _, Select.Eq _ -> 1
-  | Select.Tree_lookup _, _ -> 2
-  | Select.Sequential_scan, _ -> 3
+let side rel col_name =
+  { Join.rel; col = Schema.column_index_exn (Relation.schema rel) col_name }
 
 let plan ?stats db (q : Query.t) =
   Mmdb_util.Trace.with_span "plan" @@ fun () ->
-  let cost = cost_based () in
+  let mode = current_mode () in
   let outer = Db.find_exn db q.Query.q_from in
   let schema = Relation.schema outer in
-  let preds = List.map (predicate_of_where schema) q.Query.q_where in
   let paths, sel_cands =
-    if cost then begin
-      (* Minimum-cost access path per predicate; the cheapest (then most
-         selective) one leads.  The leading predicate's full candidate
-         list is kept for EXPLAIN. *)
-      let scored =
-        List.map
-          (fun p ->
-            let (path, c), cands = best_access outer p in
-            ((path, p), c, est_matches outer p, cands))
-          preds
-      in
-      let sorted =
-        List.stable_sort
-          (fun (_, c1, m1, _) (_, c2, m2, _) ->
-            match compare c1 c2 with 0 -> compare m1 m2 | r -> r)
-          scored
-      in
-      ( List.map (fun (pp, _, _, _) -> pp) sorted,
-        match sorted with
-        | (_, _, _, cands) :: _ ->
-            List.stable_sort (fun (_, a) (_, b) -> compare a b) cands
-            |> List.map (fun (p, c) -> (Fmt.str "%a" Select.pp_path p, c))
-        | [] -> [] )
-    end
-    else
-      ( List.map (fun p -> (Select.best_path outer p, p)) preds
-        |> List.stable_sort (fun a b -> compare (path_rank a) (path_rank b)),
-        [] )
+    order_paths mode outer (List.map (predicate_of_where schema) q.Query.q_where)
   in
-  let sel_estimate =
-    if cost then est_select_cost outer paths else est_select outer paths
-  in
-  let join_info =
-    Option.map
-      (fun (j : Query.join_clause) ->
+  let sel_estimate = est_select mode outer paths in
+  let join, join_cands =
+    match q.Query.q_join with
+    | None -> (None, [])
+    | Some j ->
         let inner_rel = Db.find_exn db j.Query.j_rel in
-        let outer_side =
-          {
-            Join.rel = outer;
-            col = Schema.column_index_exn schema j.Query.j_outer_col;
-          }
+        let outer_side = side outer j.Query.j_outer_col in
+        let inner_side = side inner_rel j.Query.j_inner_col in
+        let choice, cands =
+          match j.Query.j_force with
+          | Some m ->
+              (* a forced method is priced at the raw cardinalities *)
+              ( Algorithm m,
+                [
+                  ( Algorithm m,
+                    Cost.of_method m ~outer:(Relation.cardinality outer)
+                      ~inner:(Relation.cardinality inner_rel) );
+                ] )
+          | None ->
+              choose_join ?stats
+                ~outer_rows:(mode.outer_rows outer ~est_sel:sel_estimate)
+                ~outer:outer_side ~inner:inner_side ()
         in
-        let inner_side =
-          {
-            Join.rel = inner_rel;
-            col =
-              Schema.column_index_exn (Relation.schema inner_rel)
-                j.Query.j_inner_col;
-          }
-        in
-        match j.Query.j_force with
-        | Some m -> ((Algorithm m, outer_side, inner_side), false, [])
-        | None ->
-            if cost then
-              let choice, build_outer, cands =
-                choose_join_cost ?stats ~est_sel:sel_estimate ~outer:outer_side
-                  ~inner:inner_side ()
-              in
-              ((choice, outer_side, inner_side), build_outer, cands)
-            else
-              let choice =
-                choose_join ?stats ~outer:outer_side ~inner:inner_side ()
-              in
-              let cands =
-                named_cands
-                  (join_candidates
-                     ~eff_outer:(Relation.cardinality outer_side.Join.rel)
-                     ~outer:outer_side ~inner:inner_side)
-              in
-              ((choice, outer_side, inner_side), false, cands))
-      q.Query.q_join
+        (Some (choice, outer_side, inner_side), cands)
   in
-  let join = Option.map (fun (j, _, _) -> j) join_info in
-  let build_outer =
-    match join_info with Some (_, b, _) -> b | None -> false
-  in
-  let join_cands = match join_info with Some (_, _, c) -> c | None -> [] in
   let join_estimate =
     Option.map
       (fun (choice, outer_side, inner_side) ->
         est_join ~est_sel:sel_estimate ~choice ~outer_side ~inner_side)
       join
   in
+  (* the estimate EXPLAIN ANALYZE sets against actual counters *)
+  let est_cost =
+    match join with
+    | Some ((Algorithm _ as choice), _, _) -> List.assoc_opt choice join_cands
+    | Some (Precomputed _, _, _) | None -> None
+  in
   if Mmdb_util.Trace.active () then begin
     Mmdb_util.Trace.add_attr "outer" (Relation.name outer);
-    Mmdb_util.Trace.add_attr "planner" (planner_name ());
+    Mmdb_util.Trace.add_attr "planner" mode.name;
     Mmdb_util.Trace.add_attr "batch" (string_of_int (Batch.size ()));
     Mmdb_util.Trace.add_attr "est_rows" (string_of_int sel_estimate);
     Option.iter
@@ -465,44 +410,34 @@ let plan ?stats db (q : Query.t) =
     | (path, _) :: _ ->
         Mmdb_util.Trace.add_attr "access" (Fmt.str "%a" Select.pp_path path)
     | [] -> ());
-    if build_outer then Mmdb_util.Trace.add_attr "build" "outer";
     Option.iter
-      (fun (choice, (o : Join.side), (i : Join.side)) ->
-        Mmdb_util.Trace.add_attr "join" (Fmt.str "%a" pp_choice choice);
-        match choice with
-        | Algorithm m ->
-            (* the estimate EXPLAIN ANALYZE sets against actual counters *)
-            Mmdb_util.Trace.add_attr "est_cost"
-              (match join_cands with
-              | (_, c) :: _ -> Fmt.str "%.0f" c
-              | [] ->
-                  Fmt.str "%.0f"
-                    (Cost.of_method m ~outer:(Relation.cardinality o.Join.rel)
-                       ~inner:(Relation.cardinality i.Join.rel)))
-        | Precomputed _ -> ())
-      join
+      (fun (choice, _, _) ->
+        Mmdb_util.Trace.add_attr "join" (Fmt.str "%a" pp_choice choice))
+      join;
+    Option.iter
+      (fun c -> Mmdb_util.Trace.add_attr "est_cost" (Fmt.str "%.0f" c))
+      est_cost
   end;
   {
     p_outer = outer;
     p_paths = paths;
     p_join = join;
-    p_build_outer = build_outer;
     p_project = q.Query.q_project;
     p_distinct = q.Query.q_distinct;
     (* "one method for eliminating duplicates (Hash)" — §4 *)
     p_dedup_method = Project.Hashing;
     p_est_sel = sel_estimate;
     p_est_join = join_estimate;
-    p_planner = (if cost then "cost-based" else "rule-based");
+    p_est_cost = est_cost;
+    p_planner = mode.name;
     p_sel_cands = sel_cands;
     p_join_cands = join_cands;
   }
 
-let pp_cands ppf cands =
-  Fmt.pf ppf "%a"
-    (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (name, c) ->
-         Fmt.pf ppf "%s=%.0f" name c))
-    cands
+let pp_cands pp_name ppf cands =
+  Fmt.list ~sep:(Fmt.any ", ")
+    (fun ppf (name, c) -> Fmt.pf ppf "%a=%.0f" pp_name name c)
+    ppf cands
 
 let pp_plan ppf p =
   Fmt.pf ppf "@[<v>planner: %s@," p.p_planner;
@@ -515,27 +450,23 @@ let pp_plan ppf p =
     (fun (path, _) -> Fmt.pf ppf "access: %a@," Select.pp_path path)
     p.p_paths;
   if List.length p.p_sel_cands > 1 then
-    Fmt.pf ppf "access candidates: %a@," pp_cands p.p_sel_cands;
+    Fmt.pf ppf "access candidates: %a@," (pp_cands Select.pp_path) p.p_sel_cands;
   Fmt.pf ppf "est. rows: %d@," p.p_est_sel;
   Option.iter
-    (fun (choice, outer, inner) ->
+    (fun (choice, _, inner) ->
       Fmt.pf ppf "join with %s: %a" (Relation.name inner.Join.rel) pp_choice
         choice;
-      if p.p_build_outer then Fmt.pf ppf " (build on outer)";
-      (match choice with
-      | Algorithm m ->
-          Fmt.pf ppf " (est. %.0f comparison units"
-            (match p.p_join_cands with
-            | (_, c) :: _ -> c
-            | [] ->
-                Cost.of_method m ~outer:(Relation.cardinality outer.Join.rel)
-                  ~inner:(Relation.cardinality inner.Join.rel));
+      (match p.p_est_cost with
+      | Some c ->
+          Fmt.pf ppf " (est. %.0f comparison units" c;
           Option.iter (fun e -> Fmt.pf ppf ", est. %d rows" e) p.p_est_join;
           Fmt.pf ppf ")"
-      | Precomputed _ -> Fmt.pf ppf " (follows existing pointers)");
+      | None -> Fmt.pf ppf " (follows existing pointers)");
       Fmt.pf ppf "@,";
       if List.length p.p_join_cands > 1 then
-        Fmt.pf ppf "join candidates: %a@," pp_cands p.p_join_cands)
+        Fmt.pf ppf "join candidates: %a@,"
+          (pp_cands (Fmt.of_to_string choice_name))
+          p.p_join_cands)
     p.p_join;
   Option.iter
     (fun ls ->

@@ -1,11 +1,23 @@
 (** Query optimization for the MM-DBMS (§4).
 
-    "There is a more definite ordering of preference": hash lookup > tree
-    lookup > sequential scan for selection; precomputed join > Tree Merge
-    (when both T Tree indices exist) > Hash Join, with the paper's two
-    exceptions — Tree Join when only the inner side is tree-indexed and
-    the outer is less than half its size, and Sort Merge when duplicates
-    and semijoin selectivity are both high. *)
+    One planner: it scores each predicate's access paths and orders the
+    predicates, estimates the selection's output, and prices the feasible
+    join methods.  The cost-based planner (the default) and the paper's
+    §4 rule-based ablation ([MMDB_COST=0]) differ only in three
+    parameters of that pipeline:
+    - the access-path score: the §4 rank of {!Select.best_path}'s choice
+      (hash lookup > tree lookup > sequential scan), or {!Cost};
+    - the selection prior: fixed fractions (1/10 exact match, 1/4 range,
+      1/3 residual), or {!Column_stats} — {!Feedback} overrides either;
+    - the outer cardinality a join is priced at: the relation's raw
+      count, or the selection estimate.
+
+    Either way the join is a precomputed join when the outer column is a
+    foreign key to the inner relation, Sort Merge under the §3.3.5
+    high-duplicates exception, and otherwise the cheapest feasible method
+    under the §3.3.4 formulas — which reproduces §4's preferences: Tree
+    Merge when both T Tree indices exist, Tree Join for a small outer
+    against a tree-indexed inner, Hash Join elsewhere. *)
 
 open Mmdb_storage
 
@@ -22,10 +34,6 @@ type plan = {
   p_paths : (Select.access_path * Select.predicate) list;
       (** one per where clause; the first drives index access *)
   p_join : (join_choice * Join.side * Join.side) option;
-  p_build_outer : bool;
-      (** hash join only: build the table on the (filtered) outer side —
-          chosen by the cost-based planner when the selection leaves the
-          outer smaller than the inner *)
   p_project : string list option;
   p_distinct : bool;
   p_dedup_method : Project.method_;  (** always [Hashing], per §4 *)
@@ -39,12 +47,20 @@ type plan = {
   p_est_join : int option;
       (** estimated join output rows (foreign-key prior scaled by the
           selection's reduction, feedback-refined), when joining *)
+  p_est_cost : float option;
+      (** the chosen join method's estimated cost in comparison units
+          (EXPLAIN, and the [est_cost] trace attribute); a forced method is
+          priced at the raw cardinalities; [None] without a join or for a
+          precomputed one *)
   p_planner : string;  (** "cost-based" | "rule-based" (EXPLAIN) *)
-  p_sel_cands : (string * float) list;
-      (** access-path candidates for the leading predicate with their
-          estimated costs, cheapest first (cost-based planner only) *)
-  p_join_cands : (string * float) list;
-      (** join-method candidates with estimated costs, cheapest first *)
+  p_sel_cands : (Select.access_path * float) list;
+      (** the leading predicate's candidate access paths with their
+          scores, best first: every path with its estimated cost under the
+          cost-based planner, the one preferred path with its §4 rank
+          under the rule-based one.  Rendered only by {!pp_plan}. *)
+  p_join_cands : (join_choice * float) list;
+      (** join-method candidates with estimated costs, cheapest first;
+          only the forced method when the query forced one *)
 }
 
 val cost_based : unit -> bool
@@ -90,25 +106,19 @@ val feasible_methods : outer:Join.side -> inner:Join.side -> Join.method_ list
     entries. *)
 
 val choose_join :
-  ?stats:join_stats -> outer:Join.side -> inner:Join.side -> unit -> join_choice
-(** The §4 join-method decision: a precomputed join when the outer column
-    is a foreign key to the inner relation; Sort Merge under the §3.3.5
-    high-duplicates exception; otherwise the cheapest feasible method under
-    the {!Cost} formulas at the raw relation cardinalities. *)
-
-val choose_join_cost :
   ?stats:join_stats ->
-  est_sel:int ->
+  outer_rows:int ->
   outer:Join.side ->
   inner:Join.side ->
   unit ->
-  join_choice * bool * (string * float) list
-(** The cost-based join decision: the foreign-key and §3.3.5 rules are
-    kept, everything else is minimum estimated cost over the feasible
-    candidates with the outer side at its selection-reduced cardinality
-    [est_sel] — including a build-on-outer hash join when the filtered
-    outer is the smaller side.  Returns (choice, build_outer, candidate
-    names with costs, cheapest first). *)
+  join_choice * (join_choice * float) list
+(** The join decision: a precomputed join when the outer column is a
+    foreign key to the inner relation; Sort Merge under the §3.3.5
+    high-duplicates exception; otherwise the first cheapest of
+    {!feasible_methods} under the {!Cost} formulas, with the outer side
+    priced at [outer_rows] (the rule-based planner passes the raw
+    cardinality, the cost-based one its selection estimate).  Returns
+    the choice and the candidates with their costs, cheapest first. *)
 
 val plan : ?stats:join_stats -> Db.t -> Query.t -> plan
 (** Resolve names against the catalog and choose methods.

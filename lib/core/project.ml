@@ -65,15 +65,6 @@ let key_hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
    round trips cost. *)
 let parallel_threshold = 1024
 
-let parallel_pool pool n =
-  match pool with
-  | Some pool
-    when Domain_pool.size pool > 1
-         && (not (Domain_pool.in_worker ()))
-         && n >= parallel_threshold ->
-      Some pool
-  | _ -> None
-
 (* [tl]'s entries as an array.  Arrays here are filled with a constant
    first, never with an entry or a fresh pair: [Array.make] and
    [Array.init] run a minor collection first when they build an array of
@@ -98,7 +89,7 @@ let sort_scan ?pool ?(cutoff = 10) tl labels =
     let key = key_reader narrowed in
     let arity = Descriptor.arity (Temp_list.descriptor narrowed) in
     let keyed =
-      match parallel_pool pool n with
+      match Domain_pool.fan_out pool ~n ~threshold:parallel_threshold with
       | Some pool ->
           Domain_pool.parallel_map pool (fun e -> (key e, e)) (entries narrowed)
       | None ->
@@ -184,7 +175,7 @@ let hashing ?pool tl labels =
     Counters.bump_hash_calls ~n ();
     Counters.bump_ptr_derefs ~n:(arity * n) ()
   in
-  match parallel_pool pool n with
+  match Domain_pool.fan_out pool ~n ~threshold:parallel_threshold with
   | Some pool ->
       let keyed = Domain_pool.parallel_map pool triple (entries narrowed) in
       charge ();

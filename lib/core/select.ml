@@ -143,17 +143,15 @@ let scan_parallel_snapshot pool rel ~snapshot ~keep out =
   end
 
 let use_parallel_scan pool rel =
-  match pool with
-  | None -> None
-  | Some pool ->
-      if
-        Domain_pool.size pool > 1
-        && (not (Domain_pool.in_worker ()))
-        && Relation.cardinality rel >= parallel_scan_threshold
-        && (Version_store.current_snapshot () <> None
-           || List.length (Relation.partitions rel) > 1)
-      then Some pool
-      else None
+  match
+    Domain_pool.fan_out pool ~n:(Relation.cardinality rel)
+      ~threshold:parallel_scan_threshold
+  with
+  | Some _ as p
+    when Version_store.current_snapshot () <> None
+         || List.length (Relation.partitions rel) > 1 ->
+      p
+  | _ -> None
 
 (* The sequential scan: batches come off the relation with the first
    indexable predicate's column pre-extracted into the key slice, the

@@ -58,9 +58,9 @@ type config = {
   capture : string option;  (* workload-capture JSONL sink; None = off *)
   capture_max_bytes : int;  (* rotate the capture file past this size *)
   cost : bool;
-      (* cost-based planning (statistics-driven join ordering, access
-         paths, build sides); off reproduces the paper's §4 rule-based
-         preference ordering. *)
+      (* cost-based planning (statistics-driven access paths and join
+         methods); off reproduces the paper's §4 rule-based preference
+         ordering. *)
   advisor_every : int;
       (* run the index advisor every N executed statement batches;
          <= 0 disables it.  Runs are exclusive writer jobs. *)

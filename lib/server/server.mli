@@ -60,8 +60,8 @@ type config = {
       (** rotate the capture file to [path ^ ".1"] past this size;
           default 64 MiB *)
   cost : bool;
-      (** cost-based planning: statistics-driven access paths, join
-          algorithm and build-side choice.  [false] reproduces the
+      (** cost-based planning: statistics-driven access paths and join
+          algorithm.  [false] reproduces the
           paper's §4 rule-based preference ordering.  Default: the
           [MMDB_COST] knob (on unless set to [0]).  Seeds the
           process-wide {!Mmdb_core.Optimizer.set_cost_based} flag. *)

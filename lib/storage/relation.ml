@@ -247,14 +247,18 @@ let unversioned (tu : Tuple.t) = tu.Value.vers.Value.vs = []
    filtering or caller callback runs while writers wait.  A read costs
    O(log n + m + d) for m matches and d versioned tuples, whatever
    writes ran since [s]. *)
-let snapshot_tuples t s (module Inst : INSTANCE) ?lo ?hi traverse =
+let snapshot_tuples t s (module Inst : INSTANCE) ?lo ?hi ?(open_hi = false)
+    traverse =
   let columns = Inst.def.columns in
   let within bound sign fields =
     match bound with
     | None -> true
     | Some (p : Tuple.t) -> sign (compare_fields columns fields p.Value.fields 0)
   in
-  let keep fields = within lo (fun c -> c >= 0) fields && within hi (fun c -> c <= 0) fields in
+  let keep fields =
+    within lo (fun c -> c >= 0) fields
+    && within hi (fun c -> c < 0 || (c = 0 && not open_hi)) fields
+  in
   let rev_live, versioned =
     Version_store.exclusive_read t.versioned (fun () ->
         let acc = ref [] in
@@ -272,10 +276,10 @@ let instance t = function None -> primary t | Some n -> find_index_exn t n
 
 (* The one read body of every entry: walk [traverse] directly without a
    snapshot, else hand [f] the snapshot's tuples. *)
-let read t inst ?lo ?hi traverse f =
+let read t inst ?lo ?hi ?open_hi traverse f =
   match Version_store.current_snapshot () with
   | None -> traverse f
-  | Some s -> List.iter f (snapshot_tuples t s inst ?lo ?hi traverse)
+  | Some s -> List.iter f (snapshot_tuples t s inst ?lo ?hi ?open_hi traverse)
 
 (* Range scans need an ordered index on every path, snapshot or not. *)
 let ordered (module Inst : INSTANCE) =
@@ -388,6 +392,30 @@ let lookup_from ?index t key f =
   ordered inst;
   let lo = probe_for t Inst.def key in
   read t inst ~lo (Inst.I.iter_from Inst.handle lo) f
+
+exception Past
+
+(* The stop test of a walk bounded above by [hi], on the live key (the
+   order the index holds), charged as a caller's own test would be: one
+   comparison, and a dereference to read the key. *)
+let past ~inclusive columns (hi : Tuple.t) tu =
+  Mmdb_util.Counters.bump_comparisons ();
+  Mmdb_util.Counters.bump_ptr_derefs ();
+  let c = compare_fields columns (Tuple.resolve tu).Value.fields hi.Value.fields 0 in
+  c > 0 || (c = 0 && not inclusive)
+
+let lookup_below ?index ~inclusive t key f =
+  let (module Inst : INSTANCE) as inst = instance t index in
+  ordered inst;
+  let hi = probe_for t Inst.def key in
+  let columns = Inst.def.columns in
+  read t inst ~hi ~open_hi:(not inclusive)
+    (fun g ->
+      try
+        Inst.I.iter Inst.handle (fun tu ->
+            if past ~inclusive columns hi tu then raise_notrace Past else g tu)
+      with Past -> ())
+    f
 
 let iter_via ?index t f =
   let (module Inst : INSTANCE) as inst = instance t index in

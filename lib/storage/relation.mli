@@ -155,6 +155,19 @@ val lookup_from :
 (** Ascending scan of all tuples with index key [>=] the probe values.
     @raise Mmdb_index.Index_intf.Unsupported on hash indexes. *)
 
+val lookup_below :
+  ?index:string ->
+  inclusive:bool ->
+  t ->
+  Value.t array ->
+  (Tuple.t -> unit) ->
+  unit
+(** Ascending scan of all tuples with index key [<] the probe values
+    ([<=] when [inclusive]): an in-order walk that stops at the first key
+    past them, charging one comparison and one dereference per key it
+    tests.
+    @raise Mmdb_index.Index_intf.Unsupported on hash indexes. *)
+
 val iter : t -> (Tuple.t -> unit) -> unit
 (** Scan in primary-index order. *)
 

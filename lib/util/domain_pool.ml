@@ -44,6 +44,11 @@ let in_worker () = Domain.DLS.get in_worker_key
 
 let size t = t.size
 
+let fan_out pool ~n ~threshold =
+  match pool with
+  | Some p when p.size > 1 && (not (in_worker ())) && n >= threshold -> pool
+  | _ -> None
+
 let clamp lo hi v = max lo (min hi v)
 
 (* MMDB_DOMAINS overrides the hardware-derived default; 1 forces the

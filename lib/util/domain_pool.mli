@@ -36,6 +36,11 @@ val size : t -> int
 val in_worker : unit -> bool
 (** True while executing on a pool worker domain (any pool). *)
 
+val fan_out : t option -> n:int -> threshold:int -> t option
+(** The operators' fan-out gate: [pool] when splitting [n] items across
+    it pays — more than one worker, the caller not itself a worker, and
+    [n >= threshold] — else [None] (run sequentially). *)
+
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task.  Runs inline (before returning) when the pool is
     sequential, stopped, or the caller is itself a pool worker. *)

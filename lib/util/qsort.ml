@@ -169,13 +169,9 @@ let sort_slices ~cutoff ~pool ~cmp a =
 let sort_counted ?(cutoff = 10) ?pool ~cmp a =
   if cutoff < 1 then invalid_arg "Qsort: cutoff must be >= 1";
   let n = Array.length a in
-  match pool with
-  | Some pool
-    when n >= parallel_threshold
-         && Domain_pool.size pool > 1
-         && not (Domain_pool.in_worker ()) ->
-      sort_slices ~cutoff ~pool ~cmp a
-  | _ -> sort_range ~cutoff ~cmp a 0 (n - 1)
+  match Domain_pool.fan_out pool ~n ~threshold:parallel_threshold with
+  | Some pool -> sort_slices ~cutoff ~pool ~cmp a
+  | None -> sort_range ~cutoff ~cmp a 0 (n - 1)
 
 let sort ?cutoff ~cmp a = ignore (sort_counted ?cutoff ~cmp a)
 let sort_parallel ?cutoff ~pool ~cmp a =

@@ -143,12 +143,8 @@ let expected =
     (("scan-eq", 4), (0, 0, 0, 6000, 0));
     (("hash join", 1), (20459, 6000, 12000, 58918, 6000));
     (("hash join", 4), (44689, 6000, 12000, 113378, 6000));
-    (("hash join build outer", 1), (20459, 6000, 12000, 58918, 6000));
-    (("hash join build outer", 4), (44689, 6000, 12000, 113378, 6000));
     (("filtered hash join", 1), (5218, 3000, 4500, 19436, 3000));
     (("filtered hash join", 4), (10736, 3000, 4500, 33472, 3000));
-    (("filtered hash join build outer", 1), (5218, 1500, 4500, 20936, 1500));
-    (("filtered hash join build outer", 4), (10736, 3000, 4500, 33472, 3000));
     (("sort merge", 1), (193343, 80777, 0, 373722, 0));
     (("sort merge", 4), (187905, 95039, 0, 362846, 0));
     (("project Sort Scan", 1), (179101, 38870, 0, 6000, 0));
@@ -223,8 +219,6 @@ let test_hash_join_equivalence () =
   let _, rv0 = Join.skew_stats () in
   check_case ~name:"hash join" ~rows:multiset ~reference (fun pool ->
       Join.hash_join ~pool ~outer ~inner ());
-  check_case ~name:"hash join build outer" ~rows:multiset ~reference (fun pool ->
-      Join.hash_join ~pool ~build_outer:true ~outer ~inner ());
   (* near-uniform keys must never trip role reversal *)
   let _, rv1 = Join.skew_stats () in
   Alcotest.(check int) "no role reversals on uniform keys" rv0 rv1
@@ -238,9 +232,7 @@ let test_hash_join_filter_equivalence () =
   in
   let reference = multiset (Join.nested_loops ~outer_filter ~outer ~inner ()) in
   check_case ~name:"filtered hash join" ~rows:multiset ~reference (fun pool ->
-      Join.hash_join ~pool ~outer_filter ~outer ~inner ());
-  check_case ~name:"filtered hash join build outer" ~rows:multiset ~reference
-    (fun pool -> Join.hash_join ~pool ~build_outer:true ~outer_filter ~outer ~inner ())
+      Join.hash_join ~pool ~outer_filter ~outer ~inner ())
 
 let test_sort_merge_equivalence () =
   let outer, inner = join_sides ~seed:204 () in

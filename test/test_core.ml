@@ -658,13 +658,21 @@ let test_aggregate_edge_cases () =
 
 (* --- optimizer (§4) ----------------------------------------------------------- *)
 
+(* The join chooser's pick with the outer priced at its raw cardinality,
+   as the rule-based planner calls it. *)
+let choose_raw ?stats ~outer ~inner () =
+  fst
+    (Optimizer.choose_join ?stats
+       ~outer_rows:(Relation.cardinality outer.Join.rel)
+       ~outer ~inner ())
+
 let test_optimizer_prefers_precomputed () =
   let db = employee_fixture () in
   let emp = Db.find_exn db "Employee" in
   let dept = Db.find_exn db "Department" in
   let outer = { Join.rel = emp; col = 3 } in
   let inner = { Join.rel = dept; col = 1 } in
-  match Optimizer.choose_join ~outer ~inner () with
+  match choose_raw ~outer ~inner () with
   | Optimizer.Precomputed 3 -> ()
   | c -> Alcotest.failf "expected precomputed, got %a" Optimizer.pp_choice c
 
@@ -675,7 +683,7 @@ let test_optimizer_join_rules () =
   let side rel = { Join.rel; col = Workload.jcol } in
   (* both trees -> tree merge *)
   (match
-     Optimizer.choose_join
+     choose_raw
        ~outer:(side (mk 100 ~tree:true "A"))
        ~inner:(side (mk 100 ~tree:true "B"))
        ()
@@ -684,7 +692,7 @@ let test_optimizer_join_rules () =
   | c -> Alcotest.failf "want tree merge, got %a" Optimizer.pp_choice c);
   (* inner tree, small outer -> tree join *)
   (match
-     Optimizer.choose_join
+     choose_raw
        ~outer:(side (mk 20 ~tree:false "C"))
        ~inner:(side (mk 100 ~tree:true "D"))
        ()
@@ -693,7 +701,7 @@ let test_optimizer_join_rules () =
   | c -> Alcotest.failf "want tree join, got %a" Optimizer.pp_choice c);
   (* inner tree, large outer -> hash join *)
   (match
-     Optimizer.choose_join
+     choose_raw
        ~outer:(side (mk 90 ~tree:false "E"))
        ~inner:(side (mk 100 ~tree:true "F"))
        ()
@@ -702,7 +710,7 @@ let test_optimizer_join_rules () =
   | c -> Alcotest.failf "want hash join, got %a" Optimizer.pp_choice c);
   (* no indices -> hash join *)
   (match
-     Optimizer.choose_join
+     choose_raw
        ~outer:(side (mk 50 ~tree:false "G"))
        ~inner:(side (mk 50 ~tree:false "H"))
        ()
@@ -711,7 +719,7 @@ let test_optimizer_join_rules () =
   | c -> Alcotest.failf "want hash join, got %a" Optimizer.pp_choice c);
   (* both trees but high duplicates + selectivity -> sort merge *)
   match
-    Optimizer.choose_join
+    choose_raw
       ~stats:{ Optimizer.dup_pct = 90.0; semijoin_sel = 100.0 }
       ~outer:(side (mk 100 ~tree:true "I"))
       ~inner:(side (mk 100 ~tree:true "J"))

@@ -532,6 +532,59 @@ let test_interp_params () =
         "dave by id" [ [ "\"Dave\"" ] ] (Mmdb_core.Executor.rows tl)
   | _ -> Alcotest.fail "bound query failed"
 
+(* A point SELECT's minor words on the served path: cost planner, MVCC
+   on, under a statement snapshot.  Measured at 1,285 words (81 of them
+   the snapshot); the budget allows under 10% over that.  Warm-up runs fill
+   the statistics cache and the feedback store, so the loop measures the
+   steady state a cached statement sees. *)
+let test_point_select_minor_words () =
+  let was_cost = Mmdb_core.Optimizer.cost_based ()
+  and was_mvcc = Mmdb_storage.Version_store.enabled () in
+  Mmdb_core.Optimizer.set_cost_based true;
+  Mmdb_storage.Version_store.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Mmdb_core.Optimizer.set_cost_based was_cost;
+      Mmdb_storage.Version_store.set_enabled was_mvcc)
+  @@ fun () ->
+  let cat = Mmdb_core.Db.create () in
+  let db = Interp.session cat in
+  (match Interp.exec_string db "CREATE TABLE KV (K int PRIMARY KEY, V int);" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  for k = 0 to 9_999 do
+    match
+      Mmdb_core.Db.insert cat ~rel:"KV"
+        Mmdb_storage.Value.[| Int k; Int (7 * k) |]
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  let stmt = parse_one "SELECT V FROM KV WHERE K = 4242;" in
+  let run () =
+    match Interp.exec db stmt with
+    | Ok (Interp.Rows tl) when Mmdb_storage.Temp_list.length tl = 1 -> ()
+    | _ -> Alcotest.fail "point SELECT must answer one row"
+  in
+  let snapshot () = Mmdb_txn.Mvcc.with_snapshot (fun _ -> run ()) in
+  let words f =
+    for _ = 1 to 100 do
+      f ()
+    done;
+    let n = 1_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let live = words run and under = words snapshot in
+  if under > 1_400.0 then
+    Alcotest.failf "point SELECT under a snapshot allocated %.0f minor words (budget 1400)"
+      under;
+  if under -. live > 150.0 then
+    Alcotest.failf "the snapshot added %.0f minor words (budget 150)"
+      (under -. live)
+
 let () =
   Alcotest.run "mmdb_lang"
     [
@@ -576,5 +629,7 @@ let () =
             test_explain_analyze_counter_sum;
           Alcotest.test_case "prepared-statement parameters" `Quick
             test_interp_params;
+          Alcotest.test_case "point SELECT minor-word budget" `Quick
+            test_point_select_minor_words;
         ] );
     ]

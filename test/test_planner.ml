@@ -5,8 +5,8 @@
    column-statistics estimators (distinct within linear-counting
    tolerance, min/max tracking updates and deletes, MVCC-snapshot
    consistency), cost-vs-rule planner equivalence on identical result
-   multisets, EXPLAIN naming the planner and the losing candidates, and
-   the advisor's create / drop / snapshot-guard / lost-index behaviors. *)
+   multisets, EXPLAIN naming the planner and the losing candidates,
+   golden EXPLAIN text for both planners, and the advisor's create / drop / snapshot-guard / lost-index behaviors. *)
 
 open Mmdb_storage
 open Mmdb_core
@@ -242,8 +242,8 @@ let equivalence_queries =
   ]
 
 (* Both planners must produce identical result multisets for every
-   query shape: cost-based planning may pick different paths, methods
-   and build sides, never different answers. *)
+   query shape: cost-based planning may pick different paths and
+   methods, never different answers. *)
 let test_planner_equivalence () =
   Column_stats.reset ();
   Feedback.reset ();
@@ -302,9 +302,10 @@ let test_explain_names_planner_and_candidates () =
         (contains "planner: rule-based" text))
 
 (* The cost planner must prefer the selective hash index over a scan
-   (its candidate list proving the scan was costed and lost), and put
-   the hash build on the filtered outer when that side is smaller. *)
-let test_cost_picks_index_and_build_side () =
+   (its candidate list proving the scan was costed and lost), and price
+   a join at the filtered outer: one Department row makes Nested Loops
+   cheapest, where the rule planner's raw 40 rows make it Hash Join. *)
+let test_cost_picks_index_by_cost () =
   Column_stats.reset ();
   Feedback.reset ();
   let db = planner_fixture () in
@@ -317,29 +318,165 @@ let test_cost_picks_index_and_build_side () =
       Alcotest.failf "expected by_age hash lookup, got %a" Select.pp_path p
   | [] -> Alcotest.fail "no paths");
   Alcotest.(check bool) "scan was a losing candidate" true
-    (List.exists
-       (fun (name, _) -> String.equal name "sequential scan")
-       plan.Optimizer.p_sel_cands);
-  (* selective filter on the outer + larger inner: hash join builds on
-     the (filtered) outer side *)
+    (List.mem_assoc Select.Sequential_scan plan.Optimizer.p_sel_cands);
   let qj =
     Query.(
       from "Department"
       |> where_eq "Id" (Value.Int 7)
       |> join "Employee" ~on:("Id", "DeptId"))
   in
-  let planj = Optimizer.plan db qj in
-  (match planj.Optimizer.p_join with
-  | Some (Optimizer.Algorithm Join.Hash_join, _, _) ->
-      Alcotest.(check bool) "builds on the filtered outer" true
-        planj.Optimizer.p_build_outer
-  | Some _ -> () (* another method won outright: nothing to assert *)
-  | None -> Alcotest.fail "join expected");
-  (* and the result matches the rule planner's *)
+  let method_ () =
+    match (Optimizer.plan db qj).Optimizer.p_join with
+    | Some (choice, _, _) -> Fmt.str "%a" Optimizer.pp_choice choice
+    | None -> Alcotest.fail "join expected"
+  in
+  Alcotest.(check string) "cost: priced at the filtered outer" "Nested Loops"
+    (method_ ());
+  Alcotest.(check string) "rule: priced at the raw outer" "Hash Join"
+    (with_planner false method_);
+  (* and the results agree *)
   let cost_rows = sorted_rows db qj in
   let rule_rows = with_planner false (fun () -> sorted_rows db qj) in
-  Alcotest.(check (list (list string))) "build-outer result equal" rule_rows
-    cost_rows
+  Alcotest.(check (list (list string))) "same rows" rule_rows cost_rows
+
+(* EXPLAIN for each query shape under both planners, pinned as text at
+   a fixed batch size with cold feedback and statistics. *)
+let golden_explain =
+  [
+    ( "eq select",
+      [
+        "planner: cost-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "access: hash lookup via by_age";
+        "access candidates: hash lookup via by_age=10, sequential scan=800";
+        "est. rows: 8";
+      ],
+      [
+        "planner: rule-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "access: hash lookup via by_age";
+        "est. rows: 40";
+      ] );
+    ( "range select",
+      [
+        "planner: cost-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "access: sequential scan";
+        "est. rows: 96";
+      ],
+      [
+        "planner: rule-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "access: sequential scan";
+        "est. rows: 100";
+      ] );
+    ( "filtered join",
+      [
+        "planner: cost-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "access: tree lookup via pk";
+        "access candidates: tree lookup via pk=59, sequential scan=800";
+        "est. rows: 50";
+        "join with Department: Hash Join (est. 255 comparison units, est. 50 \
+         rows)";
+        "join candidates: Hash Join=255, Tree Join=316, Sort Merge=585, \
+         Nested Loops=2000";
+        "project: Employee.Name, Department.Name";
+      ],
+      [
+        "planner: rule-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "access: tree lookup via pk";
+        "est. rows: 100";
+        "join with Department: Hash Join (est. 1480 comparison units, est. \
+         100 rows)";
+        "join candidates: Hash Join=1480, Tree Join=2529, Sort Merge=4110, \
+         Nested Loops=16000";
+        "project: Employee.Name, Department.Name";
+      ] );
+    ( "unfiltered join distinct",
+      [
+        "planner: cost-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "est. rows: 400";
+        "join with Department: Hash Join (est. 1480 comparison units, est. \
+         400 rows)";
+        "join candidates: Hash Join=1480, Tree Join=2529, Sort Merge=4110, \
+         Nested Loops=16000";
+        "project: Department.Name";
+        "distinct via Hash";
+      ],
+      [
+        "planner: rule-based";
+        "outer: Employee";
+        "execution: batch size 256";
+        "est. rows: 400";
+        "join with Department: Hash Join (est. 1480 comparison units, est. \
+         400 rows)";
+        "join candidates: Hash Join=1480, Tree Join=2529, Sort Merge=4110, \
+         Nested Loops=16000";
+        "project: Department.Name";
+        "distinct via Hash";
+      ] );
+    ( "department-employee join",
+      [
+        "planner: cost-based";
+        "outer: Department";
+        "execution: batch size 256";
+        "access: tree lookup via pk";
+        "access candidates: tree lookup via pk=6, sequential scan=80";
+        "est. rows: 1";
+        "join with Employee: Nested Loops (est. 400 comparison units, est. 10 \
+         rows)";
+        "join candidates: Nested Loops=400, Hash Join=804, Sort Merge=3860";
+      ],
+      [
+        "planner: rule-based";
+        "outer: Department";
+        "execution: batch size 256";
+        "access: tree lookup via pk";
+        "est. rows: 4";
+        "join with Employee: Hash Join (est. 940 comparison units, est. 40 \
+         rows)";
+        "join candidates: Hash Join=940, Sort Merge=4110, Nested Loops=16000";
+      ] );
+  ]
+
+let test_golden_explain () =
+  let saved = Batch.size () in
+  Batch.set_size 256;
+  Fun.protect ~finally:(fun () -> Batch.set_size saved) @@ fun () ->
+  Column_stats.reset ();
+  Feedback.reset ();
+  let db = planner_fixture () in
+  let queries =
+    equivalence_queries
+    @ [
+        ( "department-employee join",
+          Query.(
+            from "Department"
+            |> where_eq "Id" (Value.Int 7)
+            |> join "Employee" ~on:("Id", "DeptId")) );
+      ]
+  in
+  List.iter
+    (fun (label, cost, rule) ->
+      let q = List.assoc label queries in
+      let explain planner =
+        with_planner planner (fun () ->
+            String.split_on_char '\n'
+              (String.trim (Fmt.str "%a" Optimizer.pp_plan (Optimizer.plan db q))))
+      in
+      Alcotest.(check (list string)) (label ^ ", cost-based") cost (explain true);
+      Alcotest.(check (list string)) (label ^ ", rule-based") rule (explain false))
+    golden_explain
 
 (* --- index advisor -------------------------------------------------------- *)
 
@@ -530,8 +667,10 @@ let () =
             test_planner_equivalence;
           Alcotest.test_case "EXPLAIN names planner and candidates" `Quick
             test_explain_names_planner_and_candidates;
-          Alcotest.test_case "picks index and build side by cost" `Quick
-            test_cost_picks_index_and_build_side;
+          Alcotest.test_case "picks index and join method by cost" `Quick
+            test_cost_picks_index_by_cost;
+          Alcotest.test_case "golden EXPLAIN, both planners" `Quick
+            test_golden_explain;
         ] );
       ( "advisor",
         [
